@@ -20,6 +20,8 @@ import csv
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, builtin_scenario
@@ -31,20 +33,23 @@ from .society import (
     ScenarioError,
     Society,
     write_metrics,
+    write_trace_meta,
     write_trace_structured,
     write_trace_text,
 )
 
 
-def _atomic_write(path: Path, write_fn) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    half-written file."""
+@contextmanager
+def _atomic_file(path: Path) -> Iterator[Path]:
+    """Yield a sibling temp file to write *path* through; rename it onto
+    *path* when the block ends, or delete it when the block raises, so
+    readers never see a half-written file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
     tmp = Path(tmp_name)
     try:
-        write_fn(tmp)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -189,24 +194,33 @@ def cmd_run(args) -> int:
         print(f"nea run: {exc}", file=sys.stderr)
         return 2
 
-    society = Society(config, seed=seed)
     try:
-        result = society.run(ticks=args.ticks, parallel=args.parallel)
+        society = Society(config, seed=seed)
+    except (ScenarioError, LangError) as exc:
+        print(f"nea run: {exc}", file=sys.stderr)
+        return 2
+
+    ticks = args.ticks if args.ticks is not None else config.ticks
+    out = Path(args.out)
+    metrics_path = out / "metrics.csv"
+    structured = args.trace_format == "structured"
+    trace_path = out / ("trace.jsonl" if structured else "trace.txt")
+    write_trace = write_trace_structured if structured else write_trace_text
+    try:
+        # the trace streams into its temp file tick by tick; both files are
+        # renamed into place only once the run has finished
+        with _atomic_file(trace_path) as trace_tmp, trace_tmp.open("w", encoding="utf-8") as fh:
+            if structured:
+                write_trace_meta(society.meta(ticks), fh)
+            result = society.run(
+                ticks=ticks, parallel=args.parallel, sink=lambda entries: write_trace(entries, fh)
+            )
+            with _atomic_file(metrics_path) as metrics_tmp:
+                write_metrics(result.metrics, metrics_tmp)
     except InterpreterFault as exc:
         print(f"nea run: interpreter fault: {exc}", file=sys.stderr)
         return 1
 
-    out = Path(args.out)
-    metrics_path = out / "metrics.csv"
-    _atomic_write(metrics_path, lambda p: write_metrics(result.metrics, p))
-    if args.trace_format == "structured":
-        trace_path = out / "trace.jsonl"
-        _atomic_write(trace_path, lambda p: write_trace_structured(result.trace, result.meta, p))
-    else:
-        trace_path = out / "trace.txt"
-        _atomic_write(trace_path, lambda p: write_trace_text(result.trace, p))
-
-    ticks = args.ticks if args.ticks is not None else config.ticks
     print(
         f"{config.name}: {ticks} ticks, {len(result.roster)} agents, seed {seed} "
         f"-> {metrics_path}, {trace_path}"
@@ -264,12 +278,8 @@ def cmd_sweep(args) -> int:
     if args.out is None:
         write_rows(sys.stdout)
     else:
-
-        def write_to(path: Path) -> None:
-            with path.open("w", encoding="utf-8", newline="") as fh:
-                write_rows(fh)
-
-        _atomic_write(Path(args.out), write_to)
+        with _atomic_file(Path(args.out)) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
+            write_rows(fh)
     return 0
 
 

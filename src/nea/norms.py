@@ -42,15 +42,17 @@ def relevance_decay(
     """Linear per-tick relevance decay, skipping norms reinforced this tick.
 
     A norm counts as reinforced when a norm-feedback memory event for it was
-    recorded at *tick*.
+    recorded at *tick*.  Memory ticks never decrease (``check_invariants``
+    holds them to that), so only the tail of *mem* from *tick* on is read.
     """
     from .core import MemKind  # local import keeps module load order simple
 
-    reinforced = {
-        ev.norm_id
-        for ev in mem
-        if ev.kind is MemKind.NORM_FEEDBACK and ev.tick == tick and ev.norm_id is not None
-    }
+    reinforced = set()
+    for ev in reversed(mem):
+        if ev.tick < tick:
+            break
+        if ev.kind is MemKind.NORM_FEEDBACK and ev.tick == tick and ev.norm_id is not None:
+            reinforced.add(ev.norm_id)
     for nb in nbs:
         if nb.id in reinforced:
             continue

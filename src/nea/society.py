@@ -19,8 +19,10 @@ import csv
 import itertools
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 from .affect import render_feedback
 from .core import (
@@ -30,7 +32,7 @@ from .core import (
     agent_from_program,
 )
 from .cycle import OBSERVER_CHANNEL, EnvironmentView, TraceEntry, tick as agent_tick
-from .lang import Literal, parse_agent_program, parse_literal_text, render_literal
+from .lang import LangError, Literal, parse_agent_program, parse_literal_text, render_literal
 
 #: Broadcast pseudo-recipient: everyone except the sender.
 BROADCAST = "ALL"
@@ -51,6 +53,17 @@ METRICS_COLUMNS = (
 
 class ScenarioError(ValueError):
     """The scenario file is malformed or inconsistent."""
+
+
+def _number_pair(value, key: str) -> tuple:
+    """An appraisal-style pair: exactly two numbers, kept as written."""
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        raise ScenarioError(f"scenario {key!r} must be a pair of two numbers, got {value!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -122,6 +135,8 @@ class ScenarioConfig:
         for spec in agents_raw:
             if not isinstance(spec, dict) or "id" not in spec or "program" not in spec:
                 raise ScenarioError("each agent needs an id and a program")
+            if not isinstance(spec["id"], str):
+                raise ScenarioError(f"agent id {spec['id']!r} must be a string")
             if spec["id"] in seen:
                 raise ScenarioError(f"duplicate agent id {spec['id']!r}")
             seen.add(spec["id"])
@@ -158,10 +173,13 @@ class ScenarioConfig:
         observation = ObserverPolicy(
             public=tuple(obs_raw.get("public", ())),
             authority=obs_raw.get("authority"),
-            reactions={k: tuple(v) for k, v in obs_raw.get("reactions", {}).items()},
+            reactions={
+                k: _number_pair(v, f"observation.reactions.{k}")
+                for k, v in obs_raw.get("reactions", {}).items()
+            },
             observers=tuple(feedback.get("observers", ())),
             condition=tuple(feedback.get("condition", ())),
-            pair=tuple(feedback.get("pair", (0.0, 0.0))),
+            pair=_number_pair(feedback.get("pair", (0.0, 0.0)), "observation.feedback.pair"),
             target_roles=tuple(feedback.get("targets_roles", ())),
         )
         if observation.authority is not None and observation.authority not in seen:
@@ -183,7 +201,9 @@ class ScenarioConfig:
             relevance_threshold=float(params.get("relevance_threshold", 25.0)),
             decay_affect=float(params.get("decay_affect", 0.05)),
             decay_relevance=float(params.get("decay_relevance", 0.05)),
-            deviation_threshold=tuple(params.get("deviation_threshold", (0.5, 0.5))),
+            deviation_threshold=_number_pair(
+                params.get("deviation_threshold", (0.5, 0.5)), "params.deviation_threshold"
+            ),
         )
 
 
@@ -223,7 +243,11 @@ class Society:
         self.rng = random.Random(self.seed)
         self.roster: dict[str, AgentConfig] = {}
         for spec in config.agents:
-            program = parse_agent_program(spec["program"])
+            try:
+                program = parse_agent_program(spec["program"])
+            except LangError as exc:
+                where = f"{exc.line}:{exc.col}: " if exc.line is not None else ""
+                raise ScenarioError(f"agent {spec['id']!r}: {where}{exc.message}") from exc
             self.roster[spec["id"]] = agent_from_program(
                 spec["id"],
                 program,
@@ -234,6 +258,7 @@ class Society:
         self._pending: dict[str, list[Message]] = {aid: [] for aid in self.roster}
         self._edge: dict[tuple[str, str], bool] = {}
         self._frac_cache: dict = {}
+        self._condition = [parse_literal_text(text) for text in config.observation.condition]
 
     # -- routing -------------------------------------------------------
 
@@ -299,7 +324,7 @@ class Society:
             return
         wanted = set(policy.target_roles)
         condition = [(text, True) for text in policy.condition]
-        lits = [parse_literal_text(text) for text in policy.condition]
+        lits = self._condition
         for observer in policy.observers:
             for target_id, target in self.roster.items():
                 if target_id == observer or (wanted and not (wanted & set(target.roles))):
@@ -404,9 +429,28 @@ class Society:
             )
         return trace, rows
 
-    def run(self, *, ticks: int | None = None, parallel: bool = False) -> RunResult:
+    def meta(self, ticks: int) -> dict:
+        """The run's description: the structured trace's first line."""
+        return {
+            "scenario": self.config.name,
+            "seed": self.seed,
+            "ticks": ticks,
+            "agents": list(self.roster),
+        }
+
+    def run(
+        self,
+        *,
+        ticks: int | None = None,
+        parallel: bool = False,
+        sink: Callable[[list[TraceEntry]], None] | None = None,
+    ) -> RunResult:
+        """Run every tick.  *sink* receives each tick's trace entries as the
+        tick ends; without one they are collected into ``RunResult.trace``."""
         total = self.config.ticks if ticks is None else ticks
         trace: list[TraceEntry] = []
+        if sink is None:
+            sink = trace.extend
         metrics: list[dict] = []
         executor = None
         try:
@@ -416,18 +460,14 @@ class Society:
                 executor = ThreadPoolExecutor(max_workers=min(len(self.roster), 8))
             for t in range(total):
                 tick_trace, rows = self.run_tick(t, executor)
-                trace.extend(tick_trace)
+                sink(tick_trace)
                 metrics.extend(rows)
         finally:
             if executor is not None:
                 executor.shutdown()
-        meta = {
-            "scenario": self.config.name,
-            "seed": self.seed,
-            "ticks": total,
-            "agents": list(self.roster),
-        }
-        return RunResult(trace=trace, metrics=metrics, roster=self.roster, seed=self.seed, meta=meta)
+        return RunResult(
+            trace=trace, metrics=metrics, roster=self.roster, seed=self.seed, meta=self.meta(total)
+        )
 
 
 def _announced_variant(message: Message) -> str:
@@ -448,21 +488,34 @@ def write_metrics(rows: list[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
-def write_trace_text(trace: list[TraceEntry], path: Path) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for entry in trace:
-            fh.write(entry.text() + "\n")
+def write_trace_text(trace: list[TraceEntry], fh: TextIO) -> None:
+    """Append one ``TraceEntry.text()`` line per entry."""
+    fh.write("".join(e.text() + "\n" for e in trace))
 
 
-def write_trace_structured(trace: list[TraceEntry], meta: dict, path: Path) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-        for entry in trace:
-            record = {
-                "tick": entry.tick,
-                "agent": entry.agent,
-                "step": entry.step,
-                "summary": entry.summary,
-                "payload": entry.payload,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def write_trace_meta(meta: dict, fh: TextIO) -> None:
+    """Write the structured trace's first line."""
+    fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_payload = json.JSONEncoder(sort_keys=True).encode
+
+
+def write_trace_structured(trace: list[TraceEntry], fh: TextIO) -> None:
+    """Append one JSON record per entry.
+
+    Each line is assembled in the sorted key order, and is byte for byte
+    what ``json.dumps(record, sort_keys=True)`` gives, at a fraction of its
+    cost per line.
+    """
+    fh.write(
+        "".join(
+            f'{{"agent": {_encode_str(e.agent)}, '
+            f'"payload": {_encode_payload(e.payload) if e.payload else "{}"}, '
+            f'"step": {_encode_str(e.step)}, '
+            f'"summary": {_encode_str(e.summary)}, '
+            f'"tick": {e.tick}}}\n'
+            for e in trace
+        )
+    )

@@ -42,7 +42,13 @@ from nea.norms import (
     order_applicable_plans,
     relevance_decay,
 )
-from nea.society import ScenarioConfig, Society, write_metrics, write_trace_structured
+from nea.society import (
+    ScenarioConfig,
+    Society,
+    write_metrics,
+    write_trace_meta,
+    write_trace_structured,
+)
 from nea import builtin_scenario
 
 from conftest import corpus_files
@@ -339,7 +345,9 @@ def load_emitted(tmp_path):
     result = Society(config).run()
     trace_path = tmp_path / "trace.jsonl"
     metrics_path = tmp_path / "metrics.csv"
-    write_trace_structured(result.trace, result.meta, trace_path)
+    with trace_path.open("w", encoding="utf-8") as fh:
+        write_trace_meta(result.meta, fh)
+        write_trace_structured(result.trace, fh)
     write_metrics(result.metrics, metrics_path)
 
     records = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import nea.cycle
+from nea import builtin_scenario
 from nea.cli import main
+from nea.cycle import InterpreterFault
 from nea.society import METRICS_COLUMNS
 
 from conftest import CORPUS_DIR
@@ -112,6 +118,76 @@ def test_run_parallel_matches_serial_on_disk(tmp_path):
     assert main(["run", "mask", "--ticks", "20", "--out", str(parallel), "--parallel"]) == 0
     assert (serial / "metrics.csv").read_bytes() == (parallel / "metrics.csv").read_bytes()
     assert (serial / "trace.txt").read_bytes() == (parallel / "trace.txt").read_bytes()
+
+
+#: sha256 of `nea run mask --ticks 300 --seed 7`, pinned so that a change
+#: to the interpreter, the harness or the writers cannot move a byte unnoticed
+ORACLE = {
+    "text": {
+        "metrics.csv": "28c8c53716abf0a76cf32cb5ee85de58a60b4f3c8ebc0f2cf9c92e1075f30b9d",
+        "trace.txt": "8202499be16fdac116469468a69715da71f0981183ba9cef22b9612ad069306c",
+    },
+    "structured": {
+        "metrics.csv": "28c8c53716abf0a76cf32cb5ee85de58a60b4f3c8ebc0f2cf9c92e1075f30b9d",
+        "trace.jsonl": "37e2bd60b291cee25ead4d228f78f3cd32cdc3d097733aa25474d4051cda19f5",
+    },
+}
+
+
+@pytest.mark.parametrize("trace_format", sorted(ORACLE))
+def test_run_mask_oracle_digests(tmp_path, trace_format):
+    out = tmp_path / "out"
+    argv = ["run", "mask", "--ticks", "300", "--seed", "7", "--out", str(out)]
+    assert main([*argv, "--trace-format", trace_format]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == ORACLE[trace_format]
+
+
+@pytest.mark.parametrize("trace_format", ["text", "structured"])
+def test_run_fault_leaves_no_outputs(tmp_path, monkeypatch, capsys, trace_format):
+    inner = nea.cycle.step
+
+    def faulty(agent, env):
+        if env.tick == 5:
+            raise InterpreterFault(agent.id, agent.s.value, "injected")
+        return inner(agent, env)
+
+    monkeypatch.setattr(nea.cycle, "step", faulty)
+    out = tmp_path / "out"
+    argv = ["run", "mask", "--ticks", "20", "--out", str(out), "--trace-format", trace_format]
+    assert main(argv) == 1
+    assert "interpreter fault" in capsys.readouterr().err
+    assert list(out.glob("*")) == [], "no metrics.csv, no trace, no leftover .trace.*.tmp"
+
+
+def mask_copy(tmp_path):
+    target = tmp_path / "mask"
+    shutil.copytree(builtin_scenario("mask").parent, target)
+    return target
+
+
+def test_run_agent_syntax_error_exits_2(tmp_path, capsys):
+    scenario = mask_copy(tmp_path)
+    student = scenario / "student.nea"
+    student.write_text(student.read_text(encoding="utf-8") + "+broken <- .\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(scenario / "scenario.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "agent 'student_a'" in err
+    line = len(student.read_text(encoding="utf-8").splitlines())
+    assert f": {line}:" in err
+    assert not out.exists()
+
+
+def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
+    scenario = mask_copy(tmp_path) / "scenario.json"
+    spec = json.loads(scenario.read_text(encoding="utf-8"))
+    spec["observation"]["reactions"]["comply"] = [0.6]
+    scenario.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 2
+    assert "observation.reactions.comply" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ determinism, and the parallel runner."""
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -18,8 +19,10 @@ from nea.society import (
     Society,
     fraction_affected,
     society_mood,
+    write_trace_meta,
     write_trace_structured,
 )
+from nea.cycle import TraceEntry
 
 MINI = {
     "name": "mini",
@@ -80,6 +83,10 @@ def test_scenario_loads_builtin():
             {"observation": {"feedback": {"observers": ["ghost"], "condition": ["x"]}}},
             "not an agent",
         ),
+        ({"observation": {"reactions": {"comply": [0.6]}}}, "reactions.comply' must be a pair"),
+        ({"observation": {"feedback": {"pair": [0.1, 0.2, 0.3]}}}, "feedback.pair' must be a pair"),
+        ({"params": {"deviation_threshold": ["a", 0.5]}}, "deviation_threshold' must be a pair"),
+        ({"agents": [{"id": 7, "program": "x.\n"}]}, "must be a string"),
     ],
 )
 def test_scenario_rejections(broken, message):
@@ -298,10 +305,47 @@ def test_seed_override_changes_only_delivery_order():
 def test_structured_trace_carries_meta_header(tmp_path):
     result = Society(mask_config()).run(ticks=2)
     path = tmp_path / "trace.jsonl"
-    write_trace_structured(result.trace, result.meta, path)
+    with path.open("w", encoding="utf-8") as fh:
+        write_trace_meta(result.meta, fh)
+        write_trace_structured(result.trace, fh)
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
     assert header["meta"]["scenario"] == "mask"
     assert header["meta"]["seed"] == 7
     first = json.loads(lines[1])
     assert set(first) == {"tick", "agent", "step", "summary", "payload"}
+
+
+def test_structured_lines_match_json_dumps():
+    entries = [
+        TraceEntry(0, "a", "Perceive", "idle"),
+        TraceEntry(12, "prof_ü", "SelAppl", 'say "hi"\tthen\\go', {"z": [1.5, None], "a": {"k": "é"}}),
+        TraceEntry(3, "b", "Decay", "", {"sigma": [0.1, -2e-07], "ok": True}),
+    ]
+    out = io.StringIO()
+    write_trace_structured(entries, out)
+    expected = "".join(
+        json.dumps(
+            {"tick": e.tick, "agent": e.agent, "step": e.step, "summary": e.summary, "payload": e.payload},
+            sort_keys=True,
+        )
+        + "\n"
+        for e in entries
+    )
+    assert out.getvalue() == expected
+
+
+def test_run_streams_each_tick_to_the_sink():
+    batches: list[list] = []
+    result = Society(mask_config()).run(ticks=3, sink=batches.append)
+    assert result.trace == []
+    assert [{e.tick for e in batch} for batch in batches] == [{0}, {1}, {2}]
+    collected = Society(mask_config()).run(ticks=3).trace
+    assert [e for batch in batches for e in batch] == collected
+
+
+def test_agent_program_syntax_error_names_the_agent():
+    config = mask_config()
+    config.agents[3]["program"] += "+broken <- .\n"
+    with pytest.raises(ScenarioError, match=r"agent 'student_a': \d+:\d+: "):
+        Society(config)
