@@ -74,7 +74,7 @@ def update_affect(sigma: AffectPair, response: AffectPair, n_agents: int) -> Aff
     return clamp_pair((sigma[0] + response[0] / n_agents, sigma[1] + response[1] / n_agents))
 
 
-def affect_decay(sigma: AffectPair, traits: tuple = (), rate: float = 0.05) -> AffectPair:
+def affect_decay(sigma: AffectPair, rate: float = 0.05) -> AffectPair:
     """Multiplicative per-tick pull toward the neutral state."""
     return (sigma[0] * (1.0 - rate), sigma[1] * (1.0 - rate))
 
@@ -262,20 +262,24 @@ def _satisfies(state: set, present: set, absent: set) -> bool:
     return present <= state and not (absent & state)
 
 
-def _simulation_seed(plan: PlanDef, present: set, bs_literals: set) -> set:
+def _believed(present: set, bs_literals: set) -> set:
+    """The avoid literals (texts in *present*) that the belief base holds."""
+    return present & {render_literal(lit) for lit in bs_literals}
+
+
+def _simulation_seed(plan: PlanDef, believed: set) -> set:
     """Start state for post-state simulation.
 
-    Seeded with the avoid literals currently believed — except those the
-    plan itself adds (they are the plan's doing, not lingering state, so a
+    Seeded with the *believed* avoid literals — except those the plan
+    itself adds (they are the plan's doing, not lingering state, so a
     deletion inserted for them would be undone by the plan anyway) — then
     constrained by the plan's context: positive non-role context literals
     hold, negated ones do not.
     """
-    held = {render_literal(lit) for lit in bs_literals}
     plan_adds = {
         render_literal(step.literal) for step in plan.body if step.kind is StepKind.ADD
     }
-    state = set((present & held) - plan_adds)
+    state = believed - plan_adds
     for cl in plan.context:
         text = render_literal(cl.literal)
         if cl.negated:
@@ -306,9 +310,10 @@ def detect_social_norm(
         return []
 
     present, absent = _condition_parts(record.condition)
+    believed = _believed(present, bs_literals)
     flagged = []
     for plan in ps:
-        state = _simulation_seed(plan, present, bs_literals)
+        state = _simulation_seed(plan, believed)
         for step in plan.body:
             _apply_step(state, step)
         if _satisfies(state, present, absent):
@@ -325,7 +330,7 @@ def revise_plan(
     completes the avoid condition, the avoid literals still true at that
     point — so executing the plan no longer lands in the punished state."""
     present, absent = _condition_parts(record.condition)
-    state = _simulation_seed(plan, present, bs_literals)
+    state = _simulation_seed(plan, _believed(present, bs_literals))
 
     completing_index = 0 if _satisfies(state, present, absent) else None
     before_state = set(state)

@@ -5,7 +5,7 @@ An agent configuration is the tuple <ag, C, M, T, Mem, Ta, s, ast>:
 * ag — beliefs bs, plan library ps, concerns cc, personality P, normative
   beliefs NB;
 * C — circumstance: intentions I, events E, executed actions A;
-* M — mailboxes: In, Out, suspended intentions SI;
+* M — mailboxes: In, Out;
 * T — temporary info of the current cycle: relevant plans R, applicable
   plans Ap, selected intention iota, selected event epsilon, selected plan rho;
 * Mem — affectively relevant event memory;
@@ -35,6 +35,7 @@ from .lang import (
     render_literal,
     render_norm,
     render_plan,
+    render_trigger,
 )
 
 
@@ -174,7 +175,6 @@ class Message:
 class Mailboxes:
     In: list = field(default_factory=list)
     Out: list = field(default_factory=list)
-    SI: list = field(default_factory=list)
 
 
 @dataclass
@@ -282,14 +282,21 @@ class AgentConfig:
     relevance_threshold: float = 25.0
     feedback: dict = field(default_factory=dict)  # condition -> FeedbackRecord
     _next_iid: int = 0
+    # literal -> number of sources believing it; kept beside bs by
+    # add_belief / remove_belief, which are the only writers of bs
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for b in self.bs:
+            self._held[b.literal] = self._held.get(b.literal, 0) + 1
 
     # -- belief-base helpers -------------------------------------------
 
     def literals(self) -> set:
-        return {b.literal for b in self.bs}
+        return set(self._held)
 
     def holds(self, literal: Literal) -> bool:
-        return any(b.literal == literal for b in self.bs)
+        return literal in self._held
 
     def add_belief(self, literal: Literal, source: str) -> bool:
         """Add a (literal, source) pair; True if the base changed."""
@@ -297,15 +304,27 @@ class AgentConfig:
         if belief in self.bs:
             return False
         self.bs.add(belief)
+        self._held[literal] = self._held.get(literal, 0) + 1
         return True
 
     def remove_belief(self, literal: Literal, source: str | None = None) -> bool:
         """Remove matching beliefs; any source when *source* is None."""
-        matches = {
-            b for b in self.bs if b.literal == literal and (source is None or b.source == source)
-        }
-        self.bs -= matches
-        return bool(matches)
+        count = self._held.get(literal, 0)
+        if not count:
+            return False
+        if source is None:
+            self.bs -= {b for b in self.bs if b.literal == literal}
+            del self._held[literal]
+            return True
+        belief = Belief(literal, source)
+        if belief not in self.bs:
+            return False
+        self.bs.remove(belief)
+        if count == 1:
+            del self._held[literal]
+        else:
+            self._held[literal] = count - 1
+        return True
 
     def percept_literals(self) -> set:
         return {b.literal for b in self.bs if b.source == SOURCE_PERCEPT}
@@ -377,9 +396,8 @@ def _intention_json(i: Intention) -> dict:
 
 
 def _event_json(e: Event) -> dict:
-    t = e.trigger
     return {
-        "trigger": t.kind.value + ("!" if t.type.value == "goal" else "") + render_literal(t.literal),
+        "trigger": render_trigger(e.trigger),
         "intention": None if e.intention is None else e.intention.iid,
     }
 
@@ -430,7 +448,6 @@ def snapshot(agent: AgentConfig) -> dict:
         "M": {
             "In": [_message_json(m) for m in agent.M.In],
             "Out": [_message_json(m) for m in agent.M.Out],
-            "SI": [i.iid for i in agent.M.SI],
         },
         "T": {
             "R": [render_plan(p) for p in agent.T.R],

@@ -73,6 +73,7 @@ from .lang import (
     parse_norm_literal,
     render_literal,
     render_plan,
+    render_trigger,
 )
 from .norms import (
     BREAK,
@@ -348,9 +349,7 @@ def _step_selev(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     if not agent.C.E:
         return _entry(agent, env, "SelEv", "idle")
     agent.T.epsilon = agent.C.E.pop(0)
-    trig = agent.T.epsilon.trigger
-    text = trig.kind.value + ("!" if trig.type is TriggerType.GOAL else "") + render_literal(trig.literal)
-    return _entry(agent, env, "SelEv", text)
+    return _entry(agent, env, "SelEv", render_trigger(agent.T.epsilon.trigger))
 
 
 def _step_relpl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -417,16 +416,10 @@ def _step_selappl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     )
     agent.T.rho = agent.T.Ap[0]
     rho = agent.T.rho
-    summary = render_plan_head(rho)
+    summary = render_trigger(rho.trigger)
     if rho.norm_id and rho.norm_id in decisions:
         summary += f" [{decisions[rho.norm_id]['chosen']}]"
     return _entry(agent, env, "SelAppl", summary, decisions=decisions)
-
-
-def render_plan_head(plan) -> str:
-    trig = plan.trigger
-    head = trig.kind.value + ("!" if trig.type is TriggerType.GOAL else "") + render_literal(trig.literal)
-    return head
 
 
 def _step_addim(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -583,28 +576,35 @@ def _step_affmodb(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     return _entry(agent, env, "AffModB", summary, **changes)
 
 
-_STEP_FUNCS = {
-    StepLabel.Perceive: _step_perceive,
-    StepLabel.ProcMsg: _step_procmsg,
-    StepLabel.SelEv: _step_selev,
-    StepLabel.RelPl: _step_relpl,
-    StepLabel.ApplPl: _step_applpl,
-    StepLabel.SelAppl: _step_selappl,
-    StepLabel.AddIM: _step_addim,
-    StepLabel.SelInt: _step_selint,
-    StepLabel.ExecInt: _step_execint,
-    StepLabel.ClrInt: _step_clrint,
-    StepLabel.AffModB: _step_affmodb,
+#: label -> (step function, allowed successors), one lookup per step.  The
+#: successors are a tuple: membership tests compare enum members by
+#: identity instead of hashing them.
+_STEPS = {
+    label: (func, tuple(EDGES[label]))
+    for label, func in (
+        (StepLabel.Perceive, _step_perceive),
+        (StepLabel.ProcMsg, _step_procmsg),
+        (StepLabel.SelEv, _step_selev),
+        (StepLabel.RelPl, _step_relpl),
+        (StepLabel.ApplPl, _step_applpl),
+        (StepLabel.SelAppl, _step_selappl),
+        (StepLabel.AddIM, _step_addim),
+        (StepLabel.SelInt, _step_selint),
+        (StepLabel.ExecInt, _step_execint),
+        (StepLabel.ClrInt, _step_clrint),
+        (StepLabel.AffModB, _step_affmodb),
+    )
 }
 
 
 def step(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     """Execute the label the agent is at; advance to an allowed successor."""
     label = agent.s
-    entry = _STEP_FUNCS[label](agent, env)
-    if agent.s not in EDGES[label]:
+    func, successors = _STEPS[label]
+    entry = func(agent, env)
+    if agent.s not in successors:
         raise InterpreterFault(agent.id, label.value, f"illegal transition to {agent.s.value}")
-    check_invariants(agent, label.value)
+    check_invariants(agent, label)
     return entry
 
 
@@ -645,13 +645,12 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
     # the coping strategies matching the current affective state.
     agent.ast = AffectiveStepLabel.SelCs
     revised: list[str] = []
+    believed = agent.literals() if agent.feedback else set()
     for key in list(agent.feedback):
         record = agent.feedback[key]
-        flagged = detect_social_norm(
-            record, agent.ps, agent.literals(), env.deviation_threshold
-        )
+        flagged = detect_social_norm(record, agent.ps, believed, env.deviation_threshold)
         for plan in flagged:
-            replacement = revise_plan(plan, record, agent.literals())
+            replacement = revise_plan(plan, record, believed)
             agent.ps[agent.ps.index(plan)] = replacement
             revised.append(render_plan(replacement))
     agent.Ta.Cs = select_coping(agent.P.coping, agent.Ta.sigma)
@@ -675,7 +674,7 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
 
 def run_decay(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     """Affect decays toward neutral; unreinforced norm relevance erodes."""
-    agent.Ta.sigma = affect_decay(agent.Ta.sigma, agent.P.traits, env.decay_affect)
+    agent.Ta.sigma = affect_decay(agent.Ta.sigma, env.decay_affect)
     relevance_decay(agent.NB, agent.Mem, env.decay_relevance, tick=env.tick)
     sig = agent.Ta.sigma
     return _entry(
@@ -726,26 +725,39 @@ def tick(agent: AgentConfig, env: EnvironmentView) -> tuple[list[TraceEntry], li
 # invariants
 
 
-def check_invariants(agent: AgentConfig, at: str) -> None:
+def _fault(agent: AgentConfig, at: StepLabel | str, reason: str) -> InterpreterFault:
+    return InterpreterFault(agent.id, at.value if isinstance(at, StepLabel) else at, reason)
+
+
+def check_invariants(agent: AgentConfig, at: StepLabel | str) -> None:
+    """Raise an ``InterpreterFault`` naming step *at* if any invariant fails.
+
+    Every check runs on every call; what a check needs is built only when
+    it can fail (a plan carries a norm id, two or more messages wait).
+    """
     sig = agent.Ta.sigma
     if not (-1.0 <= sig[0] <= 1.0 and -1.0 <= sig[1] <= 1.0):
-        raise InterpreterFault(agent.id, at, f"affective state out of range: {sig}")
+        raise _fault(agent, at, f"affective state out of range: {sig}")
     for nb in agent.NB:
         if nb.relevance < 0:
-            raise InterpreterFault(agent.id, at, f"negative relevance on {nb.id}")
-    known = {nb.id for nb in agent.NB}
+            raise _fault(agent, at, f"negative relevance on {nb.id}")
+    known = None
     for plan in agent.ps:
-        if plan.norm_id is not None and plan.norm_id not in known:
-            raise InterpreterFault(agent.id, at, f"plan references unknown norm {plan.norm_id}")
+        if plan.norm_id is not None:
+            if known is None:
+                known = {nb.id for nb in agent.NB}
+            if plan.norm_id not in known:
+                raise _fault(agent, at, f"plan references unknown norm {plan.norm_id}")
     for intent in agent.C.I:
         if not intent.stack:
-            raise InterpreterFault(agent.id, at, f"empty intention {intent.iid} in C.I")
+            raise _fault(agent, at, f"empty intention {intent.iid} in C.I")
     if agent.T.R and agent.T.Ap:
         rel_ids = {id(p) for p in agent.T.R}
         if any(id(p) not in rel_ids for p in agent.T.Ap):
-            raise InterpreterFault(agent.id, at, "applicable plans not drawn from relevant plans")
-    mids = [m.mid for m in agent.M.In if m.mid >= 0]
-    if len(mids) != len(set(mids)):
-        raise InterpreterFault(agent.id, at, "duplicate message ids in In")
+            raise _fault(agent, at, "applicable plans not drawn from relevant plans")
+    if len(agent.M.In) >= 2:
+        mids = [m.mid for m in agent.M.In if m.mid >= 0]
+        if len(mids) != len(set(mids)):
+            raise _fault(agent, at, "duplicate message ids in In")
     if len(agent.Mem) >= 2 and agent.Mem[-1].tick < agent.Mem[-2].tick:
-        raise InterpreterFault(agent.id, at, "memory ticks not monotone")
+        raise _fault(agent, at, "memory ticks not monotone")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 
@@ -28,12 +29,48 @@ class Sym:
 Term = Union[Sym, float, str, tuple]
 
 
+# Canonical term text.  It lives beside the nodes so that ``Literal.text``
+# can memoize it; ``render`` builds the other forms from these helpers.
+
+
+def _num(value: float) -> str:
+    return repr(float(value))
+
+
+def _quoted(value: str) -> str:
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _term(value) -> str:
+    if isinstance(value, Sym):
+        return value.name
+    if isinstance(value, float):
+        return _num(value)
+    if isinstance(value, str):
+        return _quoted(value)
+    if isinstance(value, tuple):
+        return "[" + ",".join(_term(v) for v in value) + "]"
+    raise TypeError(f"cannot render term {value!r}")
+
+
 @dataclass(frozen=True)
 class Literal:
     """A ground literal: functor optionally applied to flat terms."""
 
     functor: str
     args: tuple = ()
+
+    @cached_property
+    def text(self) -> str:
+        """Canonical text (``render_literal``), rendered once per instance.
+
+        The cache lives on the instance and is never shared between equal
+        literals: ``Literal("x", (0.0,)) == Literal("x", (-0.0,))``, yet
+        they render as ``x(0.0)`` and ``x(-0.0)``.
+        """
+        if not self.args:
+            return self.functor
+        return self.functor + "(" + ", ".join(_term(a) for a in self.args) + ")"
 
     def __repr__(self) -> str:
         if not self.args:

@@ -19,36 +19,24 @@ from .ast import (
     PlanDef,
     StepKind,
     Sym,
+    TriggerEvent,
     TriggerKind,
     TriggerType,
+    _num,
+    _quoted,
 )
 from .parser import NP_MARKER
 
 
-def _num(value: float) -> str:
-    return repr(float(value))
-
-
-def _quoted(value: str) -> str:
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _term(value) -> str:
-    if isinstance(value, Sym):
-        return value.name
-    if isinstance(value, float):
-        return _num(value)
-    if isinstance(value, str):
-        return _quoted(value)
-    if isinstance(value, tuple):
-        return "[" + ",".join(_term(v) for v in value) + "]"
-    raise TypeError(f"cannot render term {value!r}")
-
-
 def render_literal(lit: Literal) -> str:
-    if not lit.args:
-        return lit.functor
-    return lit.functor + "(" + ", ".join(_term(a) for a in lit.args) + ")"
+    """Canonical text of *lit*; memoized on the instance (``Literal.text``)."""
+    return lit.text
+
+
+def render_trigger(trigger: TriggerEvent) -> str:
+    """A triggering event as the trace prints it: ``+lit``, ``-lit``, ``+!goal``."""
+    bang = "!" if trigger.type is TriggerType.GOAL else ""
+    return trigger.kind.value + bang + render_literal(trigger.literal)
 
 
 def _render_context(context: tuple[ContextLiteral, ...]) -> str:

@@ -187,6 +187,18 @@ class ScenarioConfig:
         for obs in observation.observers:
             if obs not in seen:
                 raise ScenarioError(f"observer {obs!r} is not an agent")
+        for text in observation.condition:
+            if not isinstance(text, str):
+                raise ScenarioError(f"observation.feedback.condition {text!r} must be a string")
+            try:
+                functor = parse_literal_text(text).functor
+            except LangError as exc:
+                raise ScenarioError(f"observation.feedback.condition {text!r}: {exc}") from exc
+            if functor not in observation.public:
+                raise ScenarioError(
+                    f"observation.feedback.condition {text!r} is not public "
+                    f"(observation.public: {list(observation.public)})"
+                )
 
         params = raw.get("params", {})
         return cls(
@@ -258,7 +270,9 @@ class Society:
         self._pending: dict[str, list[Message]] = {aid: [] for aid in self.roster}
         self._edge: dict[tuple[str, str], bool] = {}
         self._frac_cache: dict = {}
-        self._condition = [parse_literal_text(text) for text in config.observation.condition]
+        policy = config.observation
+        self._condition = [parse_literal_text(text) for text in policy.condition]
+        self._feedback = render_feedback([(text, True) for text in policy.condition], policy.pair)
 
     # -- routing -------------------------------------------------------
 
@@ -319,28 +333,32 @@ class Society:
             self._deliver_copy(reply, message.sender)
 
     def _observers_react(self) -> None:
+        """Edge-triggered peer feedback on the public state.
+
+        Every condition literal is public (checked at load), so a target's
+        public state contains the condition exactly when the target holds
+        every condition literal.  That is judged once per watched target,
+        then read by each observer.
+        """
         policy = self.config.observation
         if not policy.observers or not policy.condition:
             return
         wanted = set(policy.target_roles)
-        condition = [(text, True) for text in policy.condition]
         lits = self._condition
+        states = {
+            target_id: all(target.holds(lit) for lit in lits)
+            for target_id, target in self.roster.items()
+            if not wanted or wanted & set(target.roles)
+        }
         for observer in policy.observers:
-            for target_id, target in self.roster.items():
-                if target_id == observer or (wanted and not (wanted & set(target.roles))):
+            for target_id, state in states.items():
+                if target_id == observer:
                     continue
-                state = all(target.holds(lit) for lit in lits)
                 key = (observer, target_id)
                 if state and not self._edge.get(key, False):
-                    feedback = Message(
-                        mid=-1,
-                        sender=observer,
-                        ilf=Ilf.Tell,
-                        content=render_feedback(condition, policy.pair),
-                    )
+                    feedback = Message(mid=-1, sender=observer, ilf=Ilf.Tell, content=self._feedback)
                     self._deliver_copy(feedback, target_id)
                 self._edge[key] = state
-        return
 
     # -- one tick --------------------------------------------------------
 

@@ -323,7 +323,7 @@ def test_criterion_4_generation_and_decay():
         for _ in range(1000):
             sigma = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             rate = rng.uniform(1e-6, 1.0)
-            shrunk = affect_decay(sigma, (), rate)
+            shrunk = affect_decay(sigma, rate)
             for i in (0, 1):
                 assert abs(shrunk[i]) <= abs(sigma[i])
                 if abs(sigma[i]) > 1e-6:
@@ -332,7 +332,7 @@ def test_criterion_4_generation_and_decay():
             # iterating the law lands arbitrarily close to (0, 0)
             state = sigma
             for _ in range(64):
-                state = affect_decay(state, (), 0.5)
+                state = affect_decay(state, 0.5)
             assert abs(state[0]) < 1e-9 and abs(state[1]) < 1e-9
 
 

@@ -4,8 +4,10 @@ identities, and snapshot serialization."""
 from __future__ import annotations
 
 import json
+import random
 
 from nea.core import (
+    Belief,
     IntendedMeans,
     MemKind,
     NormativeBelief,
@@ -58,6 +60,55 @@ def test_belief_base_is_source_keyed():
     assert agent.remove_belief(lit)  # any source
     assert not agent.holds(lit)
     assert not agent.remove_belief(lit)
+
+
+def held_reference(agent) -> dict:
+    """Literal -> number of sources, recounted from the public set ``bs``."""
+    counts: dict = {}
+    for b in agent.bs:
+        counts[b.literal] = counts.get(b.literal, 0) + 1
+    return counts
+
+
+def test_belief_index_agrees_with_bs_for_two_sources():
+    agent = build_agent("x.")
+    lit = Literal("y")
+    agent.add_belief(lit, SOURCE_SELF)
+    agent.add_belief(lit, SOURCE_PERCEPT)
+    assert agent.literals() == {Literal("x"), lit}
+    assert agent._held == held_reference(agent) == {Literal("x"): 1, lit: 2}
+
+    # a percept going away keeps the self copy
+    assert agent.remove_belief(lit, SOURCE_PERCEPT)
+    assert not agent.remove_belief(lit, SOURCE_PERCEPT), "already gone"
+    assert agent.holds(lit)
+    assert agent.literals() == {Literal("x"), lit}
+    assert agent.bs == {Belief(Literal("x")), Belief(lit, SOURCE_SELF)}
+    assert agent._held == held_reference(agent)
+
+    assert agent.remove_belief(lit, SOURCE_SELF)
+    assert not agent.holds(lit)
+    assert agent.literals() == {Literal("x")}
+    assert agent._held == held_reference(agent)
+
+
+def test_belief_index_follows_random_updates():
+    rng = random.Random(4)
+    agent = build_agent("x.\ny.")
+    pool = [Literal("x"), Literal("y"), Literal("z", (1.0,)), Literal("z", (2.0,))]
+    sources = [SOURCE_SELF, SOURCE_PERCEPT, "peer", None]
+    for _ in range(2000):
+        lit, source = rng.choice(pool), rng.choice(sources)
+        if source is not None and rng.random() < 0.5:
+            before = Belief(lit, source) in agent.bs
+            assert agent.add_belief(lit, source) is not before
+        else:
+            before = any(b.literal == lit and source in (None, b.source) for b in agent.bs)
+            assert agent.remove_belief(lit, source) is before
+        assert agent._held == held_reference(agent)
+        assert agent.literals() == {b.literal for b in agent.bs}
+        for probe in pool:
+            assert agent.holds(probe) is any(b.literal == probe for b in agent.bs)
 
 
 def test_norm_id_is_stable_and_content_keyed():

@@ -12,6 +12,7 @@ from nea.affect import accumulate_feedback
 from nea.core import (
     AffectiveStepLabel,
     Ilf,
+    Intention,
     MemKind,
     MemoryEvent,
     Message,
@@ -159,6 +160,72 @@ def fuzz_step_machine(total_steps: int, seed: int) -> int:
 
 def test_fuzz_transitions_and_invariants():
     assert fuzz_step_machine(10_000, seed=42) == 10_000
+
+
+def _out_of_range(agent, env):
+    agent.Ta.sigma = (1.5, 0.0)
+
+
+def _negative_relevance(agent, env):
+    adopt_mask_norm(agent, env)
+    agent.NB[0].relevance = -0.1
+
+
+def _unknown_norm_plan(agent, env):
+    agent.ps.append(dataclasses.replace(agent.ps[0], norm_id="ghost"))
+
+
+def _empty_intention(agent, env):
+    agent.C.I.append(Intention(iid=7, stack=[]))
+
+
+def _foreign_applicable(agent, env):
+    agent.T.R = [agent.ps[0]]
+    agent.T.Ap = [agent.ps[1]]
+
+
+def _duplicate_mids(agent, env):
+    agent.M.In = [msg("a", mid=3), msg("b", mid=4), msg("c", mid=3)]
+
+
+def _memory_out_of_order(agent, env):
+    agent.Mem += [
+        MemoryEvent(tick=5, kind=MemKind.SELF_APPRAISAL, pair=(0.1, 0.1)),
+        MemoryEvent(tick=4, kind=MemKind.SELF_APPRAISAL, pair=(0.1, 0.1)),
+    ]
+
+
+#: One breach per invariant of ``check_invariants``, with its fault reason.
+BREACHES = [
+    (_out_of_range, "affective state out of range"),
+    (_negative_relevance, "negative relevance"),
+    (_unknown_norm_plan, "plan references unknown norm ghost"),
+    (_empty_intention, "empty intention 7"),
+    (_foreign_applicable, "applicable plans not drawn from relevant plans"),
+    (_duplicate_mids, "duplicate message ids"),
+    (_memory_out_of_order, "memory ticks not monotone"),
+]
+
+
+@pytest.mark.parametrize("at", [StepLabel.SelEv, "SelEv"], ids=["label", "str"])
+@pytest.mark.parametrize(
+    "breach, reason", BREACHES, ids=[fn.__name__.strip("_") for fn, _ in BREACHES]
+)
+def test_each_invariant_names_the_step(breach, reason, at):
+    agent = build_agent(PATROL_SOURCE, threshold=3.0)
+    env = make_env(n_agents=3)
+    # a healthy agent with a norm, its plans, mail and memory passes
+    adopt_mask_norm(agent, env)
+    agent.M.In = [msg("a", mid=3), msg("b", mid=4), msg("c", mid=-1), msg("d", mid=-1)]
+    agent.Mem.append(MemoryEvent(tick=4, kind=MemKind.SELF_APPRAISAL, pair=(0.1, 0.1)))
+    check_invariants(agent, at)
+
+    breach(agent, env)
+    with pytest.raises(InterpreterFault, match=reason) as caught:
+        check_invariants(agent, at)
+    assert caught.value.step == "SelEv"
+    assert caught.value.agent_id == agent.id
+    assert str(caught.value).startswith(f"[{agent.id} @ SelEv] ")
 
 
 # ----------------------------------------------------------------------

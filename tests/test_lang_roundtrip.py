@@ -26,9 +26,38 @@ from nea.lang import (
     TriggerType,
     parse_agent_program,
     render,
+    render_literal,
+    render_trigger,
 )
 
 from conftest import corpus_files
+
+# ----------------------------------------------------------------------
+# literal text is memoized per instance, never by equality
+
+
+@pytest.mark.parametrize("negative_first", [False, True])
+def test_signed_zero_literals_keep_their_own_text(negative_first):
+    pos, neg = Literal("x", (0.0,)), Literal("x", (-0.0,))
+    assert pos == neg and hash(pos) == hash(neg)
+    first, second = (neg, pos) if negative_first else (pos, neg)
+    render_literal(first)
+    render_literal(second)
+    assert render_literal(pos) == "x(0.0)"
+    assert render_literal(neg) == "x(-0.0)"
+    held = {pos: "believed"}
+    assert held[neg] == "believed", "equality-keyed lookups still match"
+    assert render_literal(Literal("x", (-0.0,))) == "x(-0.0)"
+
+
+def test_render_trigger_forms():
+    lit = Literal("enter_classroom")
+    assert render_trigger(TriggerEvent(TriggerKind.ADD, TriggerType.BELIEF, lit)) == "+enter_classroom"
+    assert render_trigger(TriggerEvent(TriggerKind.DEL, TriggerType.BELIEF, lit)) == "-enter_classroom"
+    assert render_trigger(TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, lit)) == "+!enter_classroom"
+    goal = TriggerEvent(TriggerKind.DEL, TriggerType.GOAL, Literal("put_on", (Sym("mask"),)))
+    assert render_trigger(goal) == "-!put_on(mask)"
+
 
 # ----------------------------------------------------------------------
 # corpus round-trip (every file, skip-free)

@@ -87,6 +87,13 @@ def test_scenario_loads_builtin():
         ({"observation": {"feedback": {"pair": [0.1, 0.2, 0.3]}}}, "feedback.pair' must be a pair"),
         ({"params": {"deviation_threshold": ["a", 0.5]}}, "deviation_threshold' must be a pair"),
         ({"agents": [{"id": 7, "program": "x.\n"}]}, "must be a string"),
+        ({"observation": {"feedback": {"condition": ["wearing_mask"]}}}, "is not public"),
+        (
+            {"observation": {"public": ["in_campus"], "feedback": {"condition": ["in_campus", "wearing_mask"]}}},
+            "'wearing_mask' is not public",
+        ),
+        ({"observation": {"public": ["x"], "feedback": {"condition": ["x("]}}}, "condition 'x\\(':"),
+        ({"observation": {"public": ["x"], "feedback": {"condition": [3]}}}, "must be a string"),
     ],
 )
 def test_scenario_rejections(broken, message):
@@ -193,6 +200,85 @@ def test_unknown_recipient_is_a_scenario_error():
     society = Society(ScenarioConfig.from_dict(spec))
     with pytest.raises(ScenarioError, match="unknown recipient 'ghost'"):
         society.run()
+
+
+# ----------------------------------------------------------------------
+# observation fabric: one judgment per target, read by every observer
+
+FABRIC = {
+    "name": "fabric",
+    "ticks": 1,
+    "agents": [
+        {"id": "o1", "program": "standby.\n", "roles": ["student"]},
+        {"id": "t1", "program": "standby.\n", "roles": ["professor"]},
+        {"id": "o2", "program": "standby.\n", "roles": ["student"]},
+        {"id": "bystander", "program": "standby.\n"},
+        {"id": "t2", "program": "standby.\n", "roles": ["professor", "tutor"]},
+        {"id": "o3", "program": "standby.\n", "roles": ["professor"]},
+    ],
+    "observation": {
+        "public": ["wearing_mask", "in_campus"],
+        "feedback": {
+            "observers": ["o3", "o1", "o2"],
+            "condition": ["wearing_mask", "in_campus"],
+            "pair": [-0.3, -0.1],
+            "targets_roles": ["professor"],
+        },
+    },
+}
+
+
+def reference_feedback(society, edge: dict) -> list[tuple[str, str]]:
+    """(recipient, sender) of each feedback message, judged per observer."""
+    policy = society.config.observation
+    wanted = set(policy.target_roles)
+    sent = []
+    for observer in policy.observers:
+        for target_id, target in society.roster.items():
+            if target_id == observer or (wanted and not (wanted & set(target.roles))):
+                continue
+            held = {b.literal for b in target.bs}
+            state = all(Literal(text) in held for text in policy.condition)
+            if state and not edge.get((observer, target_id), False):
+                sent.append((target_id, observer))
+            edge[(observer, target_id)] = state
+    return sent
+
+
+def test_observer_fabric_matches_per_observer_reference():
+    society = Society(ScenarioConfig.from_dict(FABRIC))
+    # per tick: the agents masked on campus; covers enter, stay, leave and
+    # re-enter, an observer that is also watched, and an unwatched agent
+    timeline = [
+        {"t1"},
+        {"t1", "t2", "bystander"},
+        {"t2", "o3"},
+        {"t1", "t2", "o3"},
+        set(),
+        {"t1", "o3", "bystander"},
+    ]
+    edge: dict = {}
+    seen_messages = 0
+    for now in timeline:
+        for aid in ("t1", "t2", "o3", "bystander"):
+            agent = society.roster[aid]
+            for text in ("wearing_mask", "in_campus"):
+                if aid in now:
+                    agent.add_belief(Literal(text), "self")
+                else:
+                    agent.remove_belief(Literal(text))
+        expected = reference_feedback(society, edge)
+        society._observers_react()
+        pending = sorted(
+            (m for batch in society._pending.values() for m in batch), key=lambda m: m.mid
+        )
+        for batch in society._pending.values():
+            batch.clear()
+        assert [(m.recipient, m.sender) for m in pending] == expected
+        assert {m.content for m in pending} <= {"(+wearing_mask;+in_campus),[-0.3,-0.1]"}
+        assert dict(society._edge) == edge
+        seen_messages += len(pending)
+    assert seen_messages == 16
 
 
 # ----------------------------------------------------------------------
