@@ -25,6 +25,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, builtin_scenario
+from .core import clamp_pair, scalar_mood
 from .cycle import InterpreterFault
 from .lang import LangError, parse_agent_program, render
 from .norms import UtilityInputs, compliance_utility
@@ -244,10 +245,8 @@ def cmd_sweep(args) -> int:
 
     sigma = args.sigma
     pre = args.pre_appraisal
-    s = (sigma[0] + sigma[1]) / 2.0
-    s_new = (
-        min(1.0, max(-1.0, sigma[0] + pre[0])) + min(1.0, max(-1.0, sigma[1] + pre[1]))
-    ) / 2.0
+    s = scalar_mood(sigma)
+    s_new = scalar_mood(clamp_pair((sigma[0] + pre[0], sigma[1] + pre[1])))
 
     rows = []
     for reb in rebs:

@@ -282,6 +282,8 @@ class AgentConfig:
     relevance_threshold: float = 25.0
     feedback: dict = field(default_factory=dict)  # condition -> FeedbackRecord
     _next_iid: int = 0
+    # index of the first Mem entry the affective pass has not yet seen
+    mem_cursor: int = field(default=0, repr=False, compare=False)
     # literal -> number of sources believing it; kept beside bs by
     # add_belief / remove_belief, which are the only writers of bs
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -11,6 +11,18 @@ a successor allowed by ``EDGES``:
 * ``ExecInt`` jumps to ``AffModB`` after any appraisal-producing step, so the
   emotion lands in memory within the same tick.
 
+Most agents of a society have nothing to reason about on most ticks.  An
+agent is *quiet* when this tick's percepts equal its percept-sourced beliefs
+and ``M.In``, ``C.E``, ``C.I`` and ``Ta.Ub`` are all empty.  Its walk would
+then change nothing but ``T``, which Perceive resets, and would emit
+``Perceive`` "+0/-0 percepts", nine ``idle`` entries and ``AffModB``
+"+0/-0 beliefs".  ``tick`` resets ``T`` and emits those eleven entries
+without calling ``step``.  The invariant checks read sigma, norm relevance,
+plan norm ids, ``C.I``, ``T.R``/``T.Ap``, ``M.In`` and ``Mem``, none of which
+an idle step changes, so the one ``check_invariants`` after the reset (named
+``Perceive``, as the walk's first check is) raises exactly when the walk's
+eleven would.  Busy agents walk the step machine.
+
 The affective pass (``run_affective_cycle``) appraises fresh memory, folds
 unapplied responses into the affective state, revises plans punished by
 social feedback, and queues coping actions.  ``run_decay`` then pulls the
@@ -608,14 +620,56 @@ def step(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     return entry
 
 
+def _walk(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
+    """The normative pass through the step machine, Perceive to AffModB."""
+    entries: list[TraceEntry] = []
+    for guard in itertools.count():
+        if guard > len(EDGES):
+            raise InterpreterFault(agent.id, agent.s.value, "normative pass did not terminate")
+        label = agent.s
+        entries.append(step(agent, env))
+        if label is StepLabel.AffModB:
+            break
+    return entries
+
+
+def _quiet(agent: AgentConfig, env: EnvironmentView) -> bool:
+    """Nothing to perceive, read, select, execute or sync this tick."""
+    return (
+        not (agent.M.In or agent.C.E or agent.C.I or agent.Ta.Ub)
+        and env.percepts == agent.percept_literals()
+    )
+
+
+#: Labels a quiet pass walks through between Perceive and AffModB, all idle.
+_IDLE_LABELS = tuple(label.value for label in StepLabel)[1:-1]
+
+
+def _quiet_walk(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
+    """What ``_walk`` does and emits for a quiet agent, without the walk."""
+    agent.T.reset()
+    check_invariants(agent, StepLabel.Perceive)
+    t, aid = env.tick, agent.id
+    entries = [TraceEntry(t, aid, "Perceive", "+0/-0 percepts", {"new": [], "removed": [], "adopted": []})]
+    entries.extend([TraceEntry(t, aid, name, "idle", {}) for name in _IDLE_LABELS])
+    entries.append(TraceEntry(t, aid, "AffModB", "+0/-0 beliefs", {"added": [], "removed": [], "appraised": []}))
+    return entries
+
+
 # ----------------------------------------------------------------------
 # affective pass
 
 
 def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
-    """Appr -> UpAs -> SelCs -> Cope over memory entries not yet appraised."""
+    """Appr -> UpAs -> SelCs -> Cope over memory entries not yet appraised.
+
+    ``Mem`` is append-only and every entry of a batch is marked appraised,
+    so the batch is read from ``agent.mem_cursor`` on.
+    """
     entries: list[TraceEntry] = []
-    batch = [ev for ev in agent.Mem if not ev.appraised]
+    start = agent.mem_cursor
+    agent.mem_cursor = len(agent.Mem)
+    batch = [ev for ev in agent.Mem[start:] if not ev.appraised]
 
     # Appr: derive appraisal variables from fresh memory.
     agent.ast = AffectiveStepLabel.Appr
@@ -699,20 +753,14 @@ def run_decay(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
 def tick(agent: AgentConfig, env: EnvironmentView) -> tuple[list[TraceEntry], list[Message]]:
     """Run one complete reasoning tick; returns (trace entries, outbound).
 
-    The normative pass starts at Perceive and runs until AffModB completes;
+    The normative pass starts at Perceive and runs until AffModB completes
+    (a quiet agent takes the shortcut described in the module docstring);
     the affective pass and the decay step follow.  Outbound messages are
     drained from the mailbox for the harness to deliver.
     """
     if agent.s is not StepLabel.Perceive:
         raise InterpreterFault(agent.id, agent.s.value, "tick must start at Perceive")
-    entries: list[TraceEntry] = []
-    for guard in itertools.count():
-        if guard > len(EDGES):
-            raise InterpreterFault(agent.id, agent.s.value, "normative pass did not terminate")
-        label = agent.s
-        entries.append(step(agent, env))
-        if label is StepLabel.AffModB:
-            break
+    entries = _quiet_walk(agent, env) if _quiet(agent, env) else _walk(agent, env)
     entries.extend(run_affective_cycle(agent, env))
     entries.append(run_decay(agent, env))
     agent.cycle += 1

@@ -66,6 +66,37 @@ def _number_pair(value, key: str) -> tuple:
     return tuple(value)
 
 
+def _integer(value, key: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"scenario {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"scenario {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"scenario {key!r} must be an object, got {value!r}")
+    return value
+
+
+def _array(value, key: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"scenario {key!r} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _strings(value, key: str) -> tuple:
+    items = _array(value, key)
+    if not all(isinstance(v, str) for v in items):
+        raise ScenarioError(f"scenario {key!r} must be a list of strings, got {value!r}")
+    return items
+
+
 @dataclass
 class PerceptPulse:
     agents: tuple[str, ...]
@@ -132,7 +163,7 @@ class ScenarioConfig:
             raise ScenarioError("scenario declares no agents")
         agents: list[dict] = []
         seen: set[str] = set()
-        for spec in agents_raw:
+        for i, spec in enumerate(agents_raw):
             if not isinstance(spec, dict) or "id" not in spec or "program" not in spec:
                 raise ScenarioError("each agent needs an id and a program")
             if not isinstance(spec["id"], str):
@@ -141,46 +172,61 @@ class ScenarioConfig:
                 raise ScenarioError(f"duplicate agent id {spec['id']!r}")
             seen.add(spec["id"])
             source = spec["program"]
-            if isinstance(source, str) and source.endswith(".nea"):
+            if not isinstance(source, str):
+                raise ScenarioError(f"scenario 'agents[{i}].program' must be a string, got {source!r}")
+            if source.endswith(".nea"):
                 if base is None:
                     raise ScenarioError("program file paths need a scenario directory")
                 source = (base / source).read_text(encoding="utf-8")
             agents.append(
-                {"id": spec["id"], "program": source, "roles": tuple(spec.get("roles", ()))}
+                {
+                    "id": spec["id"],
+                    "program": source,
+                    "roles": _strings(spec.get("roles", ()), f"agents[{i}].roles"),
+                }
             )
 
         pulses: list[PerceptPulse] = []
-        for p in raw.get("percepts", ()):
-            targets = tuple(p.get("agents", ()))
+        for i, p in enumerate(_array(raw.get("percepts", ()), "percepts")):
+            key = f"percepts[{i}]"
+            _object(p, key)
+            targets = _strings(p.get("agents", ()), f"{key}.agents")
             unknown = [a for a in targets if a not in seen]
             if unknown:
                 raise ScenarioError(f"percept pulse targets unknown agents {unknown}")
-            lit = parse_literal_text(p["literal"])
+            text = p.get("literal")
+            if not isinstance(text, str):
+                raise ScenarioError(f"scenario '{key}.literal' must be a string, got {text!r}")
+            try:
+                lit = parse_literal_text(text)
+            except LangError as exc:
+                raise ScenarioError(f"scenario '{key}.literal' {text!r}: {exc}") from exc
             if "at" in p:
-                pulses.append(PerceptPulse(targets, lit, at=int(p["at"])))
+                pulses.append(PerceptPulse(targets, lit, at=_integer(p["at"], f"{key}.at")))
             elif "from" in p and "period" in p:
-                period = int(p["period"])
+                start = _integer(p["from"], f"{key}.from")
+                period = _integer(p["period"], f"{key}.period")
                 if period <= 0:
-                    raise ScenarioError("percept period must be positive")
-                pulses.append(
-                    PerceptPulse(targets, lit, start=int(p["from"]), period=period)
-                )
+                    raise ScenarioError(f"{key}: percept period must be positive")
+                pulses.append(PerceptPulse(targets, lit, start=start, period=period))
             else:
-                raise ScenarioError("percept pulse needs 'at' or 'from'+'period'")
+                raise ScenarioError(f"{key}: percept pulse needs 'at' or 'from'+'period'")
 
-        obs_raw = raw.get("observation", {})
-        feedback = obs_raw.get("feedback", {})
+        obs_raw = _object(raw.get("observation", {}), "observation")
+        feedback = _object(obs_raw.get("feedback", {}), "observation.feedback")
+        reactions = _object(obs_raw.get("reactions", {}), "observation.reactions")
         observation = ObserverPolicy(
-            public=tuple(obs_raw.get("public", ())),
+            public=_strings(obs_raw.get("public", ()), "observation.public"),
             authority=obs_raw.get("authority"),
             reactions={
-                k: _number_pair(v, f"observation.reactions.{k}")
-                for k, v in obs_raw.get("reactions", {}).items()
+                k: _number_pair(v, f"observation.reactions.{k}") for k, v in reactions.items()
             },
-            observers=tuple(feedback.get("observers", ())),
-            condition=tuple(feedback.get("condition", ())),
+            observers=_strings(feedback.get("observers", ()), "observation.feedback.observers"),
+            condition=_array(feedback.get("condition", ()), "observation.feedback.condition"),
             pair=_number_pair(feedback.get("pair", (0.0, 0.0)), "observation.feedback.pair"),
-            target_roles=tuple(feedback.get("targets_roles", ())),
+            target_roles=_strings(
+                feedback.get("targets_roles", ()), "observation.feedback.targets_roles"
+            ),
         )
         if observation.authority is not None and observation.authority not in seen:
             raise ScenarioError(f"observation authority {observation.authority!r} is not an agent")
@@ -200,19 +246,26 @@ class ScenarioConfig:
                     f"(observation.public: {list(observation.public)})"
                 )
 
-        params = raw.get("params", {})
+        params = _object(raw.get("params", {}), "params")
+
+        def param(name, default):
+            return _number(params.get(name, default), f"params.{name}")
+
+        ticks = _integer(need("ticks", object), "ticks")
+        if ticks < 0:
+            raise ScenarioError(f"scenario 'ticks' must not be negative, got {ticks}")
         return cls(
             name=str(raw.get("name", "scenario")),
-            ticks=int(need("ticks", int)),
-            seed=int(raw.get("seed", 0)),
+            ticks=ticks,
+            seed=_integer(raw.get("seed", 0), "seed"),
             agents=agents,
             pulses=pulses,
             observation=observation,
-            delta=float(params.get("delta", 0.1)),
-            relevance_weight=float(params.get("relevance_weight", 1.0)),
-            relevance_threshold=float(params.get("relevance_threshold", 25.0)),
-            decay_affect=float(params.get("decay_affect", 0.05)),
-            decay_relevance=float(params.get("decay_relevance", 0.05)),
+            delta=param("delta", 0.1),
+            relevance_weight=param("relevance_weight", 1.0),
+            relevance_threshold=param("relevance_threshold", 25.0),
+            decay_affect=param("decay_affect", 0.05),
+            decay_relevance=param("decay_relevance", 0.05),
             deviation_threshold=_number_pair(
                 params.get("deviation_threshold", (0.5, 0.5)), "params.deviation_threshold"
             ),
@@ -294,11 +347,12 @@ class Society:
         )
         self._pending[recipient].append(copy)
 
-    def _route(self, outbound: list[Message], announcements: list[Message]) -> None:
+    def _route(self, outbound: list[Message]) -> None:
+        """Deliver mail; announcements are handled by ``_authority_react``."""
         for message in outbound:
             if message.recipient == OBSERVER_CHANNEL:
-                announcements.append(message)
-            elif message.recipient == BROADCAST:
+                continue
+            if message.recipient == BROADCAST:
                 for aid in self.roster:
                     if aid != message.sender:
                         self._deliver_copy(message, aid)
@@ -311,14 +365,14 @@ class Society:
 
     # -- observation fabric ---------------------------------------------
 
-    def _authority_react(self, announcements: list[Message]) -> None:
+    def _authority_react(self, announcements: list[tuple[Message, str]]) -> None:
+        """Answer each (announcement, its variant) with the reaction pair."""
         policy = self.config.observation
         if policy.authority is None:
             return
-        for message in announcements:
+        for message, variant in announcements:
             if message.sender == policy.authority:
                 continue
-            variant = _announced_variant(message)
             pair = policy.reactions.get(variant)
             if pair is None:
                 continue
@@ -413,15 +467,16 @@ class Society:
         # 3. route outbound mail and announcements, then let the observation
         #    fabric react to what this tick produced
         trace: list[TraceEntry] = []
-        announcements: list[Message] = []
-        announced: dict[str, str] = {}
+        announcements: list[tuple[Message, str]] = []
+        announced: dict[str, str] = {}  # an agent's last variant this tick
         for aid in self.roster:
             entries, outbound = results[aid]
             trace.extend(entries)
             for message in outbound:
                 if message.recipient == OBSERVER_CHANNEL:
-                    announced[aid] = _announced_variant(message)
-            self._route(outbound, announcements)
+                    variant = announced[aid] = _announced_variant(message)
+                    announcements.append((message, variant))
+            self._route(outbound)
         self._authority_react(announcements)
         self._observers_react()
 

@@ -190,6 +190,27 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda spec: spec["params"].update(delta="abc"), "params.delta"),
+        (lambda spec: spec.update(ticks=-3), "ticks"),
+        (lambda spec: spec["percepts"][0].pop("literal"), "percepts[0].literal"),
+        (lambda spec: spec["percepts"][1].update(period="24"), "percepts[1].period"),
+    ],
+)
+def test_run_malformed_field_exits_2(tmp_path, capsys, edit, key):
+    scenario = mask_copy(tmp_path) / "scenario.json"
+    spec = json.loads(scenario.read_text(encoding="utf-8"))
+    edit(spec)
+    scenario.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # seed precedence: --seed > NEA_SEED > scenario seed
 

@@ -3,12 +3,18 @@ routing, intention execution, the affective pass, and the decay pass."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import json
 import random
+from collections import Counter
 
 import pytest
 
-from nea.affect import accumulate_feedback
+import nea.cycle
+import nea.society
+from nea import builtin_scenario
+from nea.affect import accumulate_feedback, queue_belief_add
 from nea.core import (
     AffectiveStepLabel,
     Ilf,
@@ -17,8 +23,10 @@ from nea.core import (
     MemoryEvent,
     Message,
     SOURCE_PERCEPT,
+    SOURCE_SELF,
     StepLabel,
     norm_id,
+    snapshot,
 )
 from nea.cycle import (
     AST_ORDER,
@@ -44,6 +52,7 @@ from nea.lang import (
     parse_plan_text,
 )
 from nea.norms import BREAK, COMPLY
+from nea.society import ScenarioConfig, Society
 
 from conftest import PATROL_SOURCE, build_agent
 
@@ -609,3 +618,140 @@ def test_decay_skips_norms_reinforced_this_tick():
     env.tick += 1
     run_decay(agent, env)
     assert agent.NB[0].relevance == rel0 + 0.1 - 0.25
+
+
+# ----------------------------------------------------------------------
+# quiet ticks: the shortcut must do and emit exactly what the walk does
+
+
+def _lines(entries) -> list[str]:
+    return [e.text() + "|" + json.dumps(e.payload, sort_keys=True) for e in entries]
+
+
+def _state(agent) -> tuple:
+    return snapshot(agent), [(ev.appraised, ev.applied) for ev in agent.Mem], agent.mem_cursor
+
+
+def run_against_full_walk(society: Society, ticks: int, monkeypatch) -> Counter:
+    """Run *society*, ticking a deep copy of each agent beside it with the
+    quiet shortcut turned off; every agent-tick must emit the same entries
+    and outbound mail and leave the same state.  Counts quiet agent-ticks."""
+    real_tick = nea.cycle.tick
+    quiet = Counter()
+
+    def checked_tick(agent, env):
+        reference = copy.deepcopy(agent)
+        quiet[nea.cycle._quiet(agent, env)] += 1
+        with monkeypatch.context() as forced:
+            forced.setattr(nea.cycle, "_quiet", lambda agent, env: False)
+            want_entries, want_out = real_tick(reference, env)
+        entries, outbound = real_tick(agent, env)
+        assert _lines(entries) == _lines(want_entries)
+        assert outbound == want_out
+        assert _state(agent) == _state(reference)
+        return entries, outbound
+
+    monkeypatch.setattr(nea.society, "agent_tick", checked_tick)
+    society.run(ticks=ticks)
+    return quiet
+
+
+def crowd_config() -> ScenarioConfig:
+    """The mask campus with six more students (two of them observers) and a
+    third professor on a later patrol."""
+    path = builtin_scenario("mask")
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    spec["agents"] += [{"id": f"student_{i}", "program": "student.nea"} for i in range(6)]
+    spec["agents"].append({"id": "prof_late", "program": "professor_conformist.nea"})
+    spec["percepts"] += [
+        {"agents": ["prof_late"], "literal": "enter_classroom", "at": 10},
+        {"agents": ["prof_late"], "literal": "exit_classroom", "from": 20, "period": 24},
+    ]
+    spec["observation"]["feedback"]["observers"] += ["student_0", "student_1"]
+    spec["params"]["delta"] = 2.0 * len(spec["agents"]) / 5
+    return ScenarioConfig.from_dict(spec, base=path.parent)
+
+
+@pytest.mark.parametrize(
+    "config, ticks",
+    [
+        (lambda: ScenarioConfig.load(builtin_scenario("mask")), 300),
+        (crowd_config, 120),
+    ],
+    ids=["mask", "crowd"],
+)
+def test_quiet_ticks_equal_the_full_walk(monkeypatch, config, ticks):
+    society = Society(config(), seed=7)
+    quiet = run_against_full_walk(society, ticks, monkeypatch)
+    assert sum(quiet.values()) == ticks * len(society.roster)
+    assert quiet[True] > quiet[False] > 0, "both paths are exercised"
+
+
+def test_quiet_tick_emits_fresh_entries_without_stepping(monkeypatch):
+    agent = build_agent(PATROL_SOURCE)
+    env = make_env()
+    monkeypatch.setattr(nea.cycle, "step", None)  # a quiet tick must not call it
+    first, _ = tick(agent, env)
+    second, _ = tick(agent, env)
+    assert [e.step for e in first[:11]] == [label.value for label in StepLabel]
+    assert [e.summary for e in first[1:10]] == ["idle"] * 9
+    assert agent.s is StepLabel.Perceive
+    for a, b in zip(first, second):
+        assert a.payload == b.payload
+        assert a.payload is not b.payload
+        assert all(x is not y for x, y in zip(a.payload.values(), b.payload.values()))
+
+
+#: Breaches that leave the agent quiet, and two that make it walk; either
+#: way the tick's first invariant check names Perceive.
+QUIET_BREACHES = [
+    (_out_of_range, "affective state out of range", True),
+    (_negative_relevance, "negative relevance", True),
+    (_unknown_norm_plan, "plan references unknown norm ghost", True),
+    (_memory_out_of_order, "memory ticks not monotone", True),
+    (_empty_intention, "empty intention 7", False),
+    (_duplicate_mids, "duplicate message ids", False),
+]
+
+
+@pytest.mark.parametrize(
+    "breach, reason, quiet",
+    QUIET_BREACHES,
+    ids=[fn.__name__.strip("_") for fn, _, _ in QUIET_BREACHES],
+)
+def test_tick_faults_name_perceive(breach, reason, quiet):
+    agent = build_agent(PATROL_SOURCE)
+    env = make_env(n_agents=3)
+    breach(agent, env)
+    assert nea.cycle._quiet(agent, env) is quiet
+    with pytest.raises(InterpreterFault, match=reason) as caught:
+        tick(agent, env)
+    assert caught.value.step == "Perceive"
+
+
+def test_memory_appended_between_ticks_is_appraised_once():
+    agent = build_agent(PATROL_SOURCE)
+    env = make_env(n_agents=1, decay_affect=0.0)
+
+    def appraisal_summary() -> str:
+        entries, _ = tick(agent, env)
+        return next(e.summary for e in entries if e.step == "Appr")
+
+    assert appraisal_summary() == "0/0 appraised"
+    fresh = MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.4, 0.2))
+    seen = MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.4, 0.2), appraised=True)
+    agent.Mem += [fresh, seen]
+    assert appraisal_summary() == "1/1 appraised"
+    assert fresh.appraised and fresh.applied and not seen.applied
+    assert agent.Ta.sigma == (0.4, 0.2)
+    assert appraisal_summary() == "0/0 appraised"
+    assert agent.Ta.sigma == (0.4, 0.2), "applied once"
+    assert agent.mem_cursor == len(agent.Mem) == 2
+
+
+def test_pending_belief_update_makes_the_agent_walk():
+    agent = build_agent(PATROL_SOURCE)
+    queue_belief_add(agent, Literal("greeted"), SOURCE_SELF, StepLabel.ExecInt)
+    entries, _ = tick(agent, make_env())
+    assert agent.holds(Literal("greeted"))
+    assert entries[10].step == "AffModB" and entries[10].summary == "+1/-0 beliefs"

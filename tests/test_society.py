@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import nea.society
 from nea import builtin_scenario
 from nea.core import MemKind
 from nea.lang import Literal
@@ -22,7 +23,7 @@ from nea.society import (
     write_trace_meta,
     write_trace_structured,
 )
-from nea.cycle import TraceEntry
+from nea.cycle import OBSERVER_CHANNEL, TraceEntry
 
 MINI = {
     "name": "mini",
@@ -94,6 +95,35 @@ def test_scenario_loads_builtin():
         ),
         ({"observation": {"public": ["x"], "feedback": {"condition": ["x("]}}}, "condition 'x\\(':"),
         ({"observation": {"public": ["x"], "feedback": {"condition": [3]}}}, "must be a string"),
+        ({"ticks": -3}, "'ticks' must not be negative"),
+        ({"ticks": True}, "'ticks' must be an integer"),
+        ({"seed": "abc"}, "'seed' must be an integer"),
+        ({"seed": 1.5}, "'seed' must be an integer"),
+        ({"params": {"delta": "abc"}}, "'params.delta' must be a number"),
+        ({"params": {"decay_relevance": None}}, "'params.decay_relevance' must be a number"),
+        ({"params": [0.1]}, "'params' must be an object"),
+        ({"percepts": [{"agents": ["a"], "at": 1}]}, "'percepts\\[0\\].literal' must be a string"),
+        ({"percepts": [{"agents": ["a"], "literal": "x("}]}, "'percepts\\[0\\].literal' 'x\\(':"),
+        ({"percepts": ["x"]}, "'percepts\\[0\\]' must be an object"),
+        ({"percepts": [{"agents": ["a"], "literal": "x", "at": "3"}]}, "'percepts\\[0\\].at' must be an integer"),
+        (
+            {"percepts": [{"agents": ["a"], "literal": "x", "from": 1.5, "period": 4}]},
+            "'percepts\\[0\\].from' must be an integer",
+        ),
+        (
+            {"percepts": [{"agents": ["a"], "literal": "x", "from": 0, "period": "24"}]},
+            "'percepts\\[0\\].period' must be an integer",
+        ),
+        ({"percepts": {"a": 1}}, "'percepts' must be a list"),
+        ({"percepts": [{"agents": "a", "literal": "x", "at": 1}]}, "'percepts\\[0\\].agents' must be a list"),
+        ({"agents": [{"id": "a", "program": 5}]}, "'agents\\[0\\].program' must be a string"),
+        ({"agents": [{"id": "a", "program": "x.\n", "roles": [1]}]}, "'agents\\[0\\].roles' must be a list of strings"),
+        ({"observation": "x"}, "'observation' must be an object"),
+        ({"observation": {"feedback": []}}, "'observation.feedback' must be an object"),
+        ({"observation": {"reactions": [[0.6, 0.2]]}}, "'observation.reactions' must be an object"),
+        ({"observation": {"public": "x"}}, "'observation.public' must be a list"),
+        ({"observation": {"feedback": {"observers": "a"}}}, "'observation.feedback.observers' must be a list"),
+        ({"observation": {"feedback": {"condition": "x"}}}, "'observation.feedback.condition' must be a list"),
     ],
 )
 def test_scenario_rejections(broken, message):
@@ -353,6 +383,31 @@ def test_metrics_rows_shape():
     assert (11, "prof_conformist", "comply") in variants
     # students never announce
     assert not [v for v in variants if v[1].startswith("student")]
+
+
+def test_each_announcement_is_parsed_once(monkeypatch):
+    society = Society(mask_config())
+    announcements = parses = 0
+    agent_tick = nea.society.agent_tick
+    parse = nea.society.parse_literal_text
+
+    def counting_tick(agent, env):
+        nonlocal announcements
+        entries, outbound = agent_tick(agent, env)
+        announcements += sum(m.recipient == OBSERVER_CHANNEL for m in outbound)
+        return entries, outbound
+
+    def counting_parse(text):
+        nonlocal parses
+        parses += 1
+        return parse(text)
+
+    monkeypatch.setattr(nea.society, "agent_tick", counting_tick)
+    monkeypatch.setattr(nea.society, "parse_literal_text", counting_parse)
+    result = society.run(ticks=40)
+    assert announcements >= 4
+    assert parses == announcements
+    assert sum(1 for row in result.metrics if row["variant"]) == announcements
 
 
 # ----------------------------------------------------------------------
