@@ -25,14 +25,17 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, builtin_scenario
-from .core import clamp_pair, scalar_mood
+from .core import scalar_mood
 from .cycle import InterpreterFault
 from .lang import LangError, parse_agent_program, render
-from .norms import UtilityInputs, compliance_utility
+from .norms import BREAK, UtilityInputs, anticipated_mood, choose_variant, compliance_utility
 from .society import (
     ScenarioConfig,
     ScenarioError,
     Society,
+    _number,
+    _number_pair,
+    _ticks,
     write_metrics,
     write_trace_meta,
     write_trace_structured,
@@ -49,6 +52,10 @@ def _atomic_file(path: Path) -> Iterator[Path]:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
     tmp = Path(tmp_name)
+    # mkstemp creates 0600; give the file the mode open(path, "w") would
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp.chmod(0o666 & ~umask)
     try:
         yield tmp
         os.replace(tmp, path)
@@ -57,17 +64,21 @@ def _atomic_file(path: Path) -> Iterator[Path]:
         raise
 
 
+# flag numbers follow the file's rule; argparse reports the ScenarioError (a
+# ValueError) of a type function as an invalid flag value and exits 2
+
+
 def _pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated numbers")
-    return (float(parts[0]), float(parts[1]))
+    return _number_pair((float(parts[0]), float(parts[1])), "P,A")
 
 
 def _float_list(text: str) -> list[float]:
     if text.strip() == "":
         return []
-    return [float(part) for part in text.split(",")]
+    return [_number(float(part), "list") for part in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="trace.txt (tab-separated) or trace.jsonl (default: text)",
     )
-    p_run.add_argument("--parallel", action="store_true", help="run agents on a thread pool")
     p_run.add_argument("--delta", type=float, default=None, help="override relevance reinforcement step")
     p_run.add_argument("--decay-affect", type=float, default=None, help="override affect decay rate")
     p_run.add_argument(
@@ -173,35 +183,22 @@ def _resolve_seed(args, config: ScenarioConfig) -> int:
 def cmd_run(args) -> int:
     try:
         config = ScenarioConfig.load(_resolve_scenario(args.scenario))
+        # an override flag is held to the rule of the file field it replaces
+        if args.ticks is not None:
+            config.ticks = _ticks(args.ticks, "--ticks")
+        for name in ("delta", "decay_affect", "decay_relevance", "relevance_threshold", "relevance_weight"):
+            value = getattr(args, name)
+            if value is not None:
+                setattr(config, name, _number(value, "--" + name.replace("_", "-")))
+        if args.deviation_threshold is not None:  # _pair checked it as it was parsed
+            config.deviation_threshold = args.deviation_threshold
+        seed = _resolve_seed(args, config)
+        society = Society(config, seed=seed)
     except (ScenarioError, LangError, OSError) as exc:
         print(f"nea run: {exc}", file=sys.stderr)
         return 2
 
-    for name in (
-        "delta",
-        "decay_affect",
-        "decay_relevance",
-        "relevance_threshold",
-        "relevance_weight",
-        "deviation_threshold",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(config, name, value)
-
-    try:
-        seed = _resolve_seed(args, config)
-    except ScenarioError as exc:
-        print(f"nea run: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        society = Society(config, seed=seed)
-    except (ScenarioError, LangError) as exc:
-        print(f"nea run: {exc}", file=sys.stderr)
-        return 2
-
-    ticks = args.ticks if args.ticks is not None else config.ticks
+    ticks = config.ticks
     out = Path(args.out)
     metrics_path = out / "metrics.csv"
     structured = args.trace_format == "structured"
@@ -213,9 +210,7 @@ def cmd_run(args) -> int:
         with _atomic_file(trace_path) as trace_tmp, trace_tmp.open("w", encoding="utf-8") as fh:
             if structured:
                 write_trace_meta(society.meta(ticks), fh)
-            result = society.run(
-                ticks=ticks, parallel=args.parallel, sink=lambda entries: write_trace(entries, fh)
-            )
+            result = society.run(ticks=ticks, sink=lambda entries: write_trace(entries, fh))
             with _atomic_file(metrics_path) as metrics_tmp:
                 write_metrics(result.metrics, metrics_tmp)
     except InterpreterFault as exc:
@@ -243,10 +238,8 @@ def cmd_sweep(args) -> int:
     relevances = _DEFAULT_RELEVANCE if args.relevance is None else args.relevance
     weights = _DEFAULT_WEIGHT if args.relevance_weight is None else args.relevance_weight
 
-    sigma = args.sigma
-    pre = args.pre_appraisal
-    s = scalar_mood(sigma)
-    s_new = scalar_mood(clamp_pair((sigma[0] + pre[0], sigma[1] + pre[1])))
+    s = scalar_mood(args.sigma)
+    s_new = anticipated_mood(args.sigma, args.pre_appraisal)
 
     rows = []
     for reb in rebs:
@@ -265,7 +258,7 @@ def cmd_sweep(args) -> int:
                             "relevance_weight": f"{weight:g}",
                             "comply": f"{follow:.6f}",
                             "break": f"{breach:.6f}",
-                            "break_first": str(breach > follow).lower(),
+                            "break_first": str(choose_variant(follow, breach) == BREAK).lower(),
                         }
                     )
 

@@ -67,7 +67,6 @@ from .core import (
     StepLabel,
     UbEntry,
     UbKind,
-    clamp_pair,
     norm_id,
     scalar_mood,
 )
@@ -91,6 +90,8 @@ from .norms import (
     BREAK,
     COMPLY,
     UtilityInputs,
+    anticipated_mood,
+    choose_variant,
     comply_to_norm,
     compliance_utility,
     eval_percepts,
@@ -408,18 +409,15 @@ def _step_selappl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
 
     def choose(nb: NormativeBelief) -> str:
         sigma = agent.Ta.sigma
-        anticipated = clamp_pair(
-            (sigma[0] + nb.pre_appraisal[0], sigma[1] + nb.pre_appraisal[1])
-        )
         inputs = UtilityInputs(
             reb=agent.P.rebelliousness,
             frac_affected=env.fraction_affected(nb.roles),
             s=scalar_mood(sigma),
-            s_new=scalar_mood(anticipated),
+            s_new=anticipated_mood(sigma, nb.pre_appraisal),
             relevance=nb.relevance,
         )
         follow, breach = compliance_utility(inputs, relevance_weight=env.relevance_weight)
-        variant = COMPLY if follow >= breach else BREAK
+        variant = choose_variant(follow, breach)
         decisions[nb.id] = {"comply": follow, "break": breach, "chosen": variant}
         return variant
 

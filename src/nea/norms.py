@@ -1,15 +1,19 @@
-"""Norm engine: percept evaluation, norm-plan generation, compliance
-utilities, plan/intention ordering, and norm temporal dynamics.
+"""Norm engine: percept evaluation, norm-plan generation, the comply/break
+rule, plan/intention ordering, and norm temporal dynamics.
 
 All functions are pure or mutate only the structures handed to them, so they
 can be oracle-tested in isolation from the reasoning cycle.
+
+The comply/break rule is written here once, as ``anticipated_mood``,
+``compliance_utility`` and ``choose_variant``; the interpreter's SelAppl
+step, ``nea sweep`` and the tests all call these three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AffectPair, Intention, NormativeBelief
+from .core import AffectPair, Intention, NormativeBelief, clamp_pair, scalar_mood
 from .lang import AFFECT_FUNCTOR, BodyStep, Literal, PlanDef, StepKind
 
 COMPLY = "comply"
@@ -114,7 +118,12 @@ def gen_norm_plans(ps: list, nb: NormativeBelief) -> list:
 
 
 # ----------------------------------------------------------------------
-# compliance utilities
+# the comply/break rule
+
+
+def anticipated_mood(sigma: AffectPair, pre_appraisal: AffectPair) -> float:
+    """Scalar mood after complying: sigma plus the norm's pre-appraisal, clamped."""
+    return scalar_mood(clamp_pair((sigma[0] + pre_appraisal[0], sigma[1] + pre_appraisal[1])))
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,7 @@ class UtilityInputs:
 
     reb — rebelliousness level of the agent, in [0,1];
     frac_affected — fraction of society holding an affected role, in [0,1];
-    s — scalar mood now; s_new — anticipated scalar mood after compliance;
+    s — scalar mood now; s_new — ``anticipated_mood`` after compliance;
     relevance — current relevance of the norm (>= 0).
     """
 
@@ -149,10 +158,9 @@ def compliance_utility(u: UtilityInputs, *, relevance_weight: float = 1.0) -> tu
     return comply, breach
 
 
-def choose_variant(u: UtilityInputs, *, relevance_weight: float = 1.0) -> str:
-    """Pick the plan variant with the higher score; ties go to comply."""
-    comply, breach = compliance_utility(u, relevance_weight=relevance_weight)
-    return COMPLY if comply >= breach else BREAK
+def choose_variant(follow: float, breach: float) -> str:
+    """The variant with the higher score; ties go to comply."""
+    return COMPLY if follow >= breach else BREAK
 
 
 # ----------------------------------------------------------------------

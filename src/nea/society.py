@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import random
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,13 +56,16 @@ class ScenarioError(ValueError):
     """The scenario file is malformed or inconsistent."""
 
 
+def _finite(value) -> bool:
+    """A number a float holds: not a bool, NaN, ±inf or an int too large for
+    a float (``json.loads`` returns each of those)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
 def _number_pair(value, key: str) -> tuple:
-    """An appraisal-style pair: exactly two numbers, kept as written."""
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    """An appraisal-style pair: exactly two finite numbers, kept as written."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_finite, value)):
         raise ScenarioError(f"scenario {key!r} must be a pair of two numbers, got {value!r}")
     return tuple(value)
 
@@ -72,8 +76,15 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _ticks(value, key: str) -> int:
+    ticks = _integer(value, key)
+    if ticks < 0:
+        raise ScenarioError(f"scenario {key!r} must not be negative, got {ticks}")
+    return ticks
+
+
 def _number(value, key: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _finite(value):
         raise ScenarioError(f"scenario {key!r} must be a number, got {value!r}")
     return float(value)
 
@@ -251,12 +262,9 @@ class ScenarioConfig:
         def param(name, default):
             return _number(params.get(name, default), f"params.{name}")
 
-        ticks = _integer(need("ticks", object), "ticks")
-        if ticks < 0:
-            raise ScenarioError(f"scenario 'ticks' must not be negative, got {ticks}")
         return cls(
             name=str(raw.get("name", "scenario")),
-            ticks=ticks,
+            ticks=_ticks(need("ticks", object), "ticks"),
             seed=_integer(raw.get("seed", 0), "seed"),
             agents=agents,
             pulses=pulses,
@@ -436,7 +444,8 @@ class Society:
             deviation_threshold=cfg.deviation_threshold,
         )
 
-    def run_tick(self, t: int, executor=None) -> tuple[list[TraceEntry], list[dict]]:
+    # `_unused` only keeps the positional slot that bench/child.py's wrapper passes
+    def run_tick(self, t: int, _unused=None) -> tuple[list[TraceEntry], list[dict]]:
         # 1. deliver last tick's mail; same-tick batches arrive in an order
         #    drawn from the run seed
         for aid in self.roster:
@@ -447,22 +456,13 @@ class Society:
                 self._pending[aid] = []
 
         # 2. each agent runs one full tick (independent: mail and observation
-        #    land at tick boundaries, so parallel execution must match serial)
+        #    land at tick boundaries)
         results: dict[str, tuple[list[TraceEntry], list[Message]]] = {}
         actions_before = {aid: len(agent.C.A) for aid, agent in self.roster.items()}
-        if executor is None:
-            for aid, agent in self.roster.items():
-                env = self._env(t)
-                env.percepts = self._percepts_for(aid, t)
-                results[aid] = agent_tick(agent, env)
-        else:
-            futures = {}
-            for aid, agent in self.roster.items():
-                env = self._env(t)
-                env.percepts = self._percepts_for(aid, t)
-                futures[aid] = executor.submit(agent_tick, agent, env)
-            for aid in self.roster:
-                results[aid] = futures[aid].result()
+        for aid, agent in self.roster.items():
+            env = self._env(t)
+            env.percepts = self._percepts_for(aid, t)
+            results[aid] = agent_tick(agent, env)
 
         # 3. route outbound mail and announcements, then let the observation
         #    fabric react to what this tick produced
@@ -515,7 +515,6 @@ class Society:
         self,
         *,
         ticks: int | None = None,
-        parallel: bool = False,
         sink: Callable[[list[TraceEntry]], None] | None = None,
     ) -> RunResult:
         """Run every tick.  *sink* receives each tick's trace entries as the
@@ -525,19 +524,10 @@ class Society:
         if sink is None:
             sink = trace.extend
         metrics: list[dict] = []
-        executor = None
-        try:
-            if parallel:
-                from concurrent.futures import ThreadPoolExecutor
-
-                executor = ThreadPoolExecutor(max_workers=min(len(self.roster), 8))
-            for t in range(total):
-                tick_trace, rows = self.run_tick(t, executor)
-                sink(tick_trace)
-                metrics.extend(rows)
-        finally:
-            if executor is not None:
-                executor.shutdown()
+        for t in range(total):
+            tick_trace, rows = self.run_tick(t)
+            sink(tick_trace)
+            metrics.extend(rows)
         return RunResult(
             trace=trace, metrics=metrics, roster=self.roster, seed=self.seed, meta=self.meta(total)
         )

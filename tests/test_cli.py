@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -111,15 +113,6 @@ def test_run_is_deterministic_on_disk(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_parallel_matches_serial_on_disk(tmp_path):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    assert main(["run", "mask", "--ticks", "20", "--out", str(serial)]) == 0
-    assert main(["run", "mask", "--ticks", "20", "--out", str(parallel), "--parallel"]) == 0
-    assert (serial / "metrics.csv").read_bytes() == (parallel / "metrics.csv").read_bytes()
-    assert (serial / "trace.txt").read_bytes() == (parallel / "trace.txt").read_bytes()
-
-
 #: sha256 of `nea run mask --ticks 300 --seed 7`, pinned so that a change
 #: to the interpreter, the harness or the writers cannot move a byte unnoticed
 ORACLE = {
@@ -197,15 +190,23 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
         (lambda spec: spec.update(ticks=-3), "ticks"),
         (lambda spec: spec["percepts"][0].pop("literal"), "percepts[0].literal"),
         (lambda spec: spec["percepts"][1].update(period="24"), "percepts[1].period"),
+        # json.dumps writes these as NaN and Infinity, which json.loads accepts
+        (lambda spec: spec["params"].update(decay_affect=float("nan")), "params.decay_affect"),
+        (lambda spec: spec["observation"]["feedback"].update(pair=[0.1, float("inf")]), "observation.feedback.pair"),
+        # an edit that returns a list of flags runs them over the unchanged file
+        (lambda spec: ["--ticks", "-5"], "--ticks"),
+        (lambda spec: ["--decay-affect", "nan"], "--decay-affect"),
+        (lambda spec: ["--relevance-threshold", "inf"], "--relevance-threshold"),
     ],
 )
 def test_run_malformed_field_exits_2(tmp_path, capsys, edit, key):
     scenario = mask_copy(tmp_path) / "scenario.json"
     spec = json.loads(scenario.read_text(encoding="utf-8"))
-    edit(spec)
+    flags = edit(spec)
+    flags = flags if isinstance(flags, list) else []
     scenario.write_text(json.dumps(spec), encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["run", str(scenario), "--out", str(out)]) == 2
+    assert main(["run", str(scenario), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "Traceback" not in err
     assert not out.exists()
@@ -309,6 +310,26 @@ def test_sweep_writes_csv_file(tmp_path):
     assert lines[0].startswith("reb,frac,")
     assert len(lines) == 2
     assert not list(tmp_path.glob(".*.tmp"))
+
+
+@pytest.mark.parametrize("flag, value", [("--reb", "nan"), ("--frac", "0.5,inf"), ("--sigma", "0.1,-inf")])
+def test_sweep_non_finite_flag_exits_2(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err and "Traceback" not in captured.err
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        assert main(["run", "mask", "--ticks", "3", "--out", str(tmp_path / "run")]) == 0
+        assert main(["sweep", "--reb", "0.5", "--out", str(tmp_path / "grid.csv")]) == 0
+    finally:
+        os.umask(old)
+    for path in (tmp_path / "run" / "metrics.csv", tmp_path / "run" / "trace.txt", tmp_path / "grid.csv"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
 # ----------------------------------------------------------------------

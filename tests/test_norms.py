@@ -18,6 +18,7 @@ from nea.norms import (
     UtilityInputs,
     active,
     affect_step,
+    anticipated_mood,
     choose_variant,
     compliance_utility,
     comply_to_norm,
@@ -306,7 +307,7 @@ def test_ordering_worked_examples():
 
 
 # ----------------------------------------------------------------------
-# utilities
+# the comply/break rule
 
 
 def test_compliance_utility_formulas():
@@ -322,7 +323,7 @@ def test_compliance_utility_formulas():
 def test_choose_variant_tie_goes_to_comply():
     u = UtilityInputs(reb=0.0, frac_affected=0.0, s=0.0, s_new=0.0, relevance=0.0)
     assert compliance_utility(u) == (0.0, 0.0)
-    assert choose_variant(u) == COMPLY
+    assert choose_variant(*compliance_utility(u)) == COMPLY
 
 
 def test_choose_variant_calibration_window():
@@ -330,22 +331,36 @@ def test_choose_variant_calibration_window():
     # fraction 0.4, relevance 4.0, relevance weight 0.0125
     low_reb = UtilityInputs(reb=0.2, frac_affected=0.4, s=0.0, s_new=0.2, relevance=4.0)
     high_reb = UtilityInputs(reb=0.8, frac_affected=0.4, s=0.0, s_new=0.2, relevance=4.0)
-    assert choose_variant(low_reb, relevance_weight=0.0125) == COMPLY
-    assert choose_variant(high_reb, relevance_weight=0.0125) == BREAK
+    assert choose_variant(*compliance_utility(low_reb, relevance_weight=0.0125)) == COMPLY
+    assert choose_variant(*compliance_utility(high_reb, relevance_weight=0.0125)) == BREAK
+
+
+unit = st.floats(min_value=-1, max_value=1, allow_nan=False)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     reb=st.floats(min_value=0, max_value=1, allow_nan=False),
     frac=st.floats(min_value=0, max_value=1, allow_nan=False),
-    s=st.floats(min_value=-1, max_value=1, allow_nan=False),
-    s_new=st.floats(min_value=-1, max_value=1, allow_nan=False),
+    sigma=st.tuples(unit, unit),
+    pre=st.tuples(unit, unit),
     rel=st.floats(min_value=0, max_value=60, allow_nan=False),
+    weight=st.sampled_from([1.0, 0.0125]),
 )
-def test_choose_variant_matches_utilities(reb, frac, s, s_new, rel):
+def test_choose_variant_matches_utilities(reb, frac, sigma, pre, rel, weight):
+    """The rule the interpreter and `nea sweep` run, against the formulas
+    written out here; sigma + pre-appraisal leaves [-1, 1] on many of
+    the draws, so the clamp is exercised."""
+    s = (sigma[0] + sigma[1]) / 2
+    clamped = [min(1.0, max(-1.0, x + y)) for x, y in zip(sigma, pre)]
+    s_new = (clamped[0] + clamped[1]) / 2
+    assert anticipated_mood(sigma, pre) == s_new
+
     u = UtilityInputs(reb=reb, frac_affected=frac, s=s, s_new=s_new, relevance=rel)
-    comply, breach = compliance_utility(u)
-    assert choose_variant(u) == (COMPLY if comply >= breach else BREAK)
+    follow, breach = compliance_utility(u, relevance_weight=weight)
+    assert follow == (1 - reb) * frac * (s - s_new) + weight * rel
+    assert breach == reb * (1 - frac) * (s + s_new) - weight * rel
+    assert choose_variant(follow, breach) == (BREAK if breach > follow else COMPLY)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Society harness: scenario validation, routing, the observation fabric,
-determinism, and the parallel runner."""
+and determinism."""
 
 from __future__ import annotations
 
@@ -124,6 +124,11 @@ def test_scenario_loads_builtin():
         ({"observation": {"public": "x"}}, "'observation.public' must be a list"),
         ({"observation": {"feedback": {"observers": "a"}}}, "'observation.feedback.observers' must be a list"),
         ({"observation": {"feedback": {"condition": "x"}}}, "'observation.feedback.condition' must be a list"),
+        ({"params": {"delta": float("nan")}}, "'params.delta' must be a number, got nan"),
+        ({"params": {"decay_affect": float("inf")}}, "'params.decay_affect' must be a number, got inf"),
+        ({"params": {"relevance_weight": 10**400}}, "'params.relevance_weight' must be a number"),
+        ({"observation": {"reactions": {"comply": [float("-inf"), 0.1]}}}, "reactions.comply' must be a pair"),
+        ({"params": {"deviation_threshold": [0.5, float("nan")]}}, "deviation_threshold' must be a pair"),
     ],
 )
 def test_scenario_rejections(broken, message):
@@ -414,19 +419,15 @@ def test_each_announcement_is_parsed_once(monkeypatch):
 # determinism
 
 
-def run_lines(parallel: bool, ticks: int = 40) -> list[str]:
-    result = Society(mask_config()).run(ticks=ticks, parallel=parallel)
+def run_lines(ticks: int = 40) -> list[str]:
+    result = Society(mask_config()).run(ticks=ticks)
     lines = [e.text() + "|" + json.dumps(e.payload, sort_keys=True) for e in result.trace]
     lines += [",".join(str(row[c]) for c in METRICS_COLUMNS) for row in result.metrics]
     return lines
 
 
 def test_same_seed_is_byte_identical():
-    assert run_lines(parallel=False) == run_lines(parallel=False)
-
-
-def test_parallel_equals_serial():
-    assert run_lines(parallel=True) == run_lines(parallel=False)
+    assert run_lines() == run_lines()
 
 
 def test_seed_override_changes_only_delivery_order():
