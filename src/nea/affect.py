@@ -15,7 +15,6 @@ from .core import (
     MemKind,
     MemoryEvent,
     SOURCE_SELF,
-    StepLabel,
     UbEntry,
     UbKind,
     clamp_pair,
@@ -88,15 +87,21 @@ def select_coping(coping: tuple[CopingStrategy, ...], sigma: AffectPair) -> list
     return [c for c in coping if c.matches(sigma)]
 
 
+_COPE = TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, Literal("cope"))
+
+
 def cope(strategies: list[CopingStrategy], agent: AgentConfig) -> list[Intention]:
-    """Queue one intention per strategy action at the tail of C.I."""
+    """Queue one ``+!cope`` intention per strategy action at the tail of C.I,
+    except for an action whose ``+!cope`` intention is still pending: like
+    Jason, never re-post a pending goal (docs/grammar.md, Personality)."""
+    pending = {s.literal for i in agent.C.I for m in i.stack if m.plan.trigger == _COPE for s in m.remaining}
     added: list[Intention] = []
     for strategy in strategies:
         for action in strategy.actions:
-            plan = PlanDef(
-                trigger=TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, Literal("cope")),
-                body=(BodyStep(StepKind.ACT, action),),
-            )
+            if action in pending:
+                continue
+            pending.add(action)
+            plan = PlanDef(trigger=_COPE, body=(BodyStep(StepKind.ACT, action),))
             intent = agent.new_intention(IntendedMeans(plan=plan, remaining=list(plan.body)))
             agent.C.I.append(intent)
             added.append(intent)
@@ -152,14 +157,12 @@ def sync_beliefs(agent: AgentConfig, tick: int) -> dict:
     return {"added": added, "removed": removed, "appraised": appraised}
 
 
-def queue_belief_add(agent: AgentConfig, literal: Literal, source: str, step: StepLabel) -> None:
-    agent.Ta.Ub.append(UbEntry(UbKind.ADD, step, literal=literal, source=source))
+def queue_belief_add(agent: AgentConfig, literal: Literal, source: str) -> None:
+    agent.Ta.Ub.append(UbEntry(UbKind.ADD, literal=literal, source=source))
 
 
-def queue_belief_del(
-    agent: AgentConfig, literal: Literal, source: str | None, step: StepLabel
-) -> None:
-    agent.Ta.Ub.append(UbEntry(UbKind.DEL, step, literal=literal, source=source or ""))
+def queue_belief_del(agent: AgentConfig, literal: Literal, source: str | None) -> None:
+    agent.Ta.Ub.append(UbEntry(UbKind.DEL, literal=literal, source=source or ""))
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__, builtin_scenario
 from .core import scalar_mood
@@ -30,6 +31,7 @@ from .cycle import InterpreterFault
 from .lang import LangError, parse_agent_program, render
 from .norms import BREAK, UtilityInputs, anticipated_mood, choose_variant, compliance_utility
 from .society import (
+    METRICS_COLUMNS,
     ScenarioConfig,
     ScenarioError,
     Society,
@@ -44,20 +46,20 @@ from .society import (
 
 
 @contextmanager
-def _atomic_file(path: Path) -> Iterator[Path]:
-    """Yield a sibling temp file to write *path* through; rename it onto
-    *path* when the block ends, or delete it when the block raises, so
-    readers never see a half-written file."""
+def _atomic_file(path: Path) -> Iterator[TextIO]:
+    """Yield a text file (UTF-8, ``newline=""``) that becomes *path* when
+    the block ends; it is a sibling temp file, renamed onto *path* then, or
+    deleted when the block raises, so readers never see a half-written file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
     tmp = Path(tmp_name)
-    # mkstemp creates 0600; give the file the mode open(path, "w") would
-    umask = os.umask(0)
-    os.umask(umask)
-    tmp.chmod(0o666 & ~umask)
     try:
-        yield tmp
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            # mkstemp creates 0600; give the file the mode open(path, "w") would
+            umask = os.umask(0)
+            os.umask(umask)
+            tmp.chmod(0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -152,9 +154,8 @@ def cmd_check(args) -> int:
         else:
             print(f"{path}: {exc.message}", file=sys.stderr)
         return 2
-    sys.stdout.write(render(program))
-    if not render(program).endswith("\n"):
-        sys.stdout.write("\n")
+    text = render(program)
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 
 
@@ -205,20 +206,24 @@ def cmd_run(args) -> int:
     trace_path = out / ("trace.jsonl" if structured else "trace.txt")
     write_trace = write_trace_structured if structured else write_trace_text
     try:
-        # the trace streams into its temp file tick by tick; both files are
+        # both files stream into their temp files tick by tick and are
         # renamed into place only once the run has finished
-        with _atomic_file(trace_path) as trace_tmp, trace_tmp.open("w", encoding="utf-8") as fh:
+        with _atomic_file(trace_path) as trace_fh, _atomic_file(metrics_path) as metrics_fh:
+
+            def sink(entries, rows) -> None:
+                write_trace(entries, trace_fh)
+                write_metrics(rows, metrics_fh)
+
             if structured:
-                write_trace_meta(society.meta(ticks), fh)
-            result = society.run(ticks=ticks, sink=lambda entries: write_trace(entries, fh))
-            with _atomic_file(metrics_path) as metrics_tmp:
-                write_metrics(result.metrics, metrics_tmp)
+                write_trace_meta(society.meta(ticks), trace_fh)
+            write_metrics([METRICS_COLUMNS], metrics_fh)
+            society.run(ticks=ticks, sink=sink)
     except InterpreterFault as exc:
         print(f"nea run: interpreter fault: {exc}", file=sys.stderr)
         return 1
 
     print(
-        f"{config.name}: {ticks} ticks, {len(result.roster)} agents, seed {seed} "
+        f"{config.name}: {ticks} ticks, {len(society.roster)} agents, seed {seed} "
         f"-> {metrics_path}, {trace_path}"
     )
     return 0
@@ -270,7 +275,7 @@ def cmd_sweep(args) -> int:
     if args.out is None:
         write_rows(sys.stdout)
     else:
-        with _atomic_file(Path(args.out)) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
+        with _atomic_file(Path(args.out)) as fh:
             write_rows(fh)
     return 0
 

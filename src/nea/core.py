@@ -204,7 +204,6 @@ class UbEntry:
     """One pending belief-base / appraisal update, applied at AffModB."""
 
     kind: UbKind
-    step: StepLabel  # step that produced the entry (Perceive / ExecInt / ...)
     literal: Literal | None = None
     source: str = SOURCE_SELF
     pair: AffectPair | None = None
@@ -247,7 +246,6 @@ class MemoryEvent:
     divisor: int = 1  # society-sourced pairs divide by the agent count
     applied: bool = False  # True once the pair has reached sigma
     appraised: bool = False  # True once the appraisal step has seen the entry
-    payload: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -276,7 +274,6 @@ class AgentConfig:
     Ta: AffectiveTemp = field(default_factory=AffectiveTemp)
     s: StepLabel = StepLabel.Perceive
     ast: AffectiveStepLabel = AffectiveStepLabel.Appr
-    goals: tuple = ()
     roles: tuple = ()
     cycle: int = 0  # completed reasoning cycles (ticks)
     relevance_threshold: float = 25.0
@@ -358,7 +355,6 @@ def agent_from_program(
         ps=list(program.plans),
         cc=program.concerns,
         P=program.personality or PersonalityDecl(),
-        goals=program.goals,
         roles=tuple(dict.fromkeys((*program.roles, *roles))),
         relevance_threshold=relevance_threshold,
     )

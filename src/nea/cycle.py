@@ -73,7 +73,6 @@ from .core import (
 from .lang import (
     LangError,
     Literal,
-    NotANorm,
     StepKind,
     Sym,
     TriggerEvent,
@@ -81,7 +80,6 @@ from .lang import (
     TriggerType,
     norm_from_literal,
     parse_literal_text,
-    parse_norm_literal,
     render_literal,
     render_plan,
     render_trigger,
@@ -211,7 +209,7 @@ def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     new_p, rem_p = eval_percepts(env.percepts, agent.percept_literals())
     adopted: list[str] = []
     for lit in sorted(new_p, key=render_literal):
-        queue_belief_add(agent, lit, SOURCE_PERCEPT, StepLabel.Perceive)
+        queue_belief_add(agent, lit, SOURCE_PERCEPT)
         if lit.functor == "norm":
             try:
                 decl = norm_from_literal(lit)
@@ -221,7 +219,7 @@ def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
             if nid:
                 adopted.append(nid)
     for lit in sorted(rem_p, key=render_literal):
-        queue_belief_del(agent, lit, SOURCE_PERCEPT, StepLabel.Perceive)
+        queue_belief_del(agent, lit, SOURCE_PERCEPT)
     agent.s = StepLabel.ProcMsg
     summary = f"+{len(new_p)}/-{len(rem_p)} percepts"
     if adopted:
@@ -300,7 +298,6 @@ def process_message(
                 source=message.sender,
                 divisor=env.n_agents,
                 applied=True,
-                payload={"condition": sorted(("+" if f else "-") + t for t, f in condition)},
             )
         )
         return (
@@ -309,23 +306,19 @@ def process_message(
             {"accumulated": list(record.accumulated), "count": record.count},
         )
 
-    if content.startswith("norm("):
-        try:
-            decl = parse_norm_literal(content)
-        except NotANorm:
-            decl = None
-        if decl is not None:
-            nid = _adopt_norm(agent, decl)
-            lit = _content_literal(agent, content)
-            if agent.add_belief(lit, message.sender):
-                agent.C.E.append(Event(_add_trigger(lit)))
-            summary = f"norm from {message.sender}: " + (nid or "already held")
-            return summary, StepLabel.SelEv, {"adopted": nid}
-
     lit = _content_literal(agent, content)
+    if lit.functor == "norm":
+        try:
+            decl = norm_from_literal(lit)
+        except LangError as exc:
+            raise InterpreterFault(agent.id, "ProcMsg", f"bad norm message {content!r}: {exc}") from exc
+        nid = _adopt_norm(agent, decl)
+        summary, payload = f"norm from {message.sender}: " + (nid or "already held"), {"adopted": nid}
+    else:
+        summary, payload = f"tell {content} from {message.sender}", {}
     if agent.add_belief(lit, message.sender):
         agent.C.E.append(Event(_add_trigger(lit)))
-    return f"tell {content} from {message.sender}", StepLabel.SelEv, {}
+    return summary, StepLabel.SelEv, payload
 
 
 def _content_literal(agent: AgentConfig, content: str) -> Literal:
@@ -502,10 +495,10 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     payload: dict = {"intention": intent.iid}
 
     if step_.kind is StepKind.ADD:
-        queue_belief_add(agent, step_.literal, SOURCE_SELF, StepLabel.ExecInt)
+        queue_belief_add(agent, step_.literal, SOURCE_SELF)
         summary = "+" + render_literal(step_.literal)
     elif step_.kind is StepKind.DEL:
-        queue_belief_del(agent, step_.literal, None, StepLabel.ExecInt)
+        queue_belief_del(agent, step_.literal, None)
         summary = "-" + render_literal(step_.literal)
     elif step_.kind is StepKind.SEND:
         recipient = step_.recipient.name if isinstance(step_.recipient, Sym) else str(step_.recipient)
@@ -517,13 +510,7 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     elif step_.is_affect_update():
         pair = step_.affect_pair()
         agent.Ta.Ub.append(
-            UbEntry(
-                UbKind.APPRAISE,
-                StepLabel.ExecInt,
-                pair=pair,
-                norm_id=means.plan.norm_id,
-                variant=means.plan.variant,
-            )
+            UbEntry(UbKind.APPRAISE, pair=pair, norm_id=means.plan.norm_id, variant=means.plan.variant)
         )
         if means.plan.norm_id is not None:
             _announce(agent, means.plan.norm_id, means.plan.variant or COMPLY)
@@ -543,13 +530,7 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
             pair, nb = hit
             variant = COMPLY if nb.deontic == "obligation" else BREAK
             agent.Ta.Ub.append(
-                UbEntry(
-                    UbKind.APPRAISE,
-                    StepLabel.ExecInt,
-                    pair=pair,
-                    norm_id=nb.id,
-                    variant=variant,
-                )
+                UbEntry(UbKind.APPRAISE, pair=pair, norm_id=nb.id, variant=variant)
             )
             _announce(agent, nb.id, variant)
             appraised = True

@@ -20,10 +20,14 @@ COMPLY = "comply"
 BREAK = "break"
 
 
+def unexpired(nb: NormativeBelief, cycle: int) -> bool:
+    """Limit 0 is unbounded; otherwise a norm expires at its limit cycle."""
+    return nb.limit == 0 or cycle < nb.limit
+
+
 def active(nb: NormativeBelief, cycle: int, threshold: float) -> bool:
-    """A norm is active while unexpired (limit 0 = unbounded) and relevant."""
-    within = nb.limit == 0 or cycle < nb.limit
-    return within and nb.relevance >= threshold
+    """A norm is active while unexpired and relevant."""
+    return unexpired(nb, cycle) and nb.relevance >= threshold
 
 
 def opp_emotion(pair: AffectPair) -> AffectPair:
@@ -262,8 +266,7 @@ def comply_to_norm(
     yield None.  Limit 0 is unbounded.
     """
     for nb in nbs:
-        within = nb.limit == 0 or cycle < nb.limit
-        if not within:
+        if not unexpired(nb, cycle):
             continue
         step_lits = {s.literal for s in nb.plan.body if s.literal is not None}
         if action not in step_lits:

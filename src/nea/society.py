@@ -155,12 +155,15 @@ class ScenarioConfig:
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting too deep
             raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
         return cls.from_dict(raw, base=path.parent)
 
     @classmethod
     def from_dict(cls, raw: dict, base: Path | None = None) -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"a scenario must be a JSON object, got {raw!r}")
+
         def need(key, typ):
             if key not in raw:
                 raise ScenarioError(f"scenario is missing {key!r}")
@@ -179,6 +182,8 @@ class ScenarioConfig:
                 raise ScenarioError("each agent needs an id and a program")
             if not isinstance(spec["id"], str):
                 raise ScenarioError(f"agent id {spec['id']!r} must be a string")
+            if spec["id"] == BROADCAST:
+                raise ScenarioError(f"scenario 'agents[{i}].id' {BROADCAST!r} names every agent")
             if spec["id"] in seen:
                 raise ScenarioError(f"duplicate agent id {spec['id']!r}")
             seen.add(spec["id"])
@@ -188,7 +193,10 @@ class ScenarioConfig:
             if source.endswith(".nea"):
                 if base is None:
                     raise ScenarioError("program file paths need a scenario directory")
-                source = (base / source).read_text(encoding="utf-8")
+                try:
+                    source = (base / source).read_text(encoding="utf-8")
+                except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in the name
+                    raise ScenarioError(f"scenario 'agents[{i}].program': {exc}") from exc
             agents.append(
                 {
                     "id": spec["id"],
@@ -226,9 +234,12 @@ class ScenarioConfig:
         obs_raw = _object(raw.get("observation", {}), "observation")
         feedback = _object(obs_raw.get("feedback", {}), "observation.feedback")
         reactions = _object(obs_raw.get("reactions", {}), "observation.reactions")
+        authority = obs_raw.get("authority")
+        if authority is not None and not isinstance(authority, str):
+            raise ScenarioError(f"scenario 'observation.authority' must be a string, got {authority!r}")
         observation = ObserverPolicy(
             public=_strings(obs_raw.get("public", ()), "observation.public"),
-            authority=obs_raw.get("authority"),
+            authority=authority,
             reactions={
                 k: _number_pair(v, f"observation.reactions.{k}") for k, v in reactions.items()
             },
@@ -300,13 +311,15 @@ def society_mood(roster: dict[str, AgentConfig]) -> tuple[float, float]:
     return p, a
 
 
+MetricsRow = tuple  # one metrics.csv row, its cells in METRICS_COLUMNS order
+Sink = Callable[[list[TraceEntry], list[MetricsRow]], None]
+
+
 @dataclass
 class RunResult:
     trace: list[TraceEntry]
-    metrics: list[dict]
+    metrics: list[MetricsRow]
     roster: dict[str, AgentConfig]
-    seed: int
-    meta: dict
 
 
 class Society:
@@ -445,7 +458,7 @@ class Society:
         )
 
     # `_unused` only keeps the positional slot that bench/child.py's wrapper passes
-    def run_tick(self, t: int, _unused=None) -> tuple[list[TraceEntry], list[dict]]:
+    def run_tick(self, t: int, _unused=None) -> tuple[list[TraceEntry], list[MetricsRow]]:
         # 1. deliver last tick's mail; same-tick batches arrive in an order
         #    drawn from the run seed
         for aid in self.roster:
@@ -481,24 +494,23 @@ class Society:
         self._observers_react()
 
         # 4. metrics rows
-        mood = society_mood(self.roster)
-        rows: list[dict] = []
+        mood = tuple(f"{m:.6f}" for m in society_mood(self.roster))
+        rows: list[MetricsRow] = []
         for aid, agent in self.roster.items():
             nb = agent.NB[0] if agent.NB else None
             new_actions = agent.C.A[actions_before[aid]:]
             rows.append(
-                {
-                    "tick": t,
-                    "agent": aid,
-                    "pleasure": f"{agent.Ta.sigma[0]:.6f}",
-                    "arousal": f"{agent.Ta.sigma[1]:.6f}",
-                    "norm_id": nb.id if nb else "",
-                    "relevance": f"{nb.relevance:.6f}" if nb else "",
-                    "action": render_literal(new_actions[-1]) if new_actions else "",
-                    "variant": announced.get(aid, ""),
-                    "society_pleasure": f"{mood[0]:.6f}",
-                    "society_arousal": f"{mood[1]:.6f}",
-                }
+                (
+                    t,
+                    aid,
+                    f"{agent.Ta.sigma[0]:.6f}",
+                    f"{agent.Ta.sigma[1]:.6f}",
+                    nb.id if nb else "",
+                    f"{nb.relevance:.6f}" if nb else "",
+                    render_literal(new_actions[-1]) if new_actions else "",
+                    announced.get(aid, ""),
+                    *mood,
+                )
             )
         return trace, rows
 
@@ -511,26 +523,21 @@ class Society:
             "agents": list(self.roster),
         }
 
-    def run(
-        self,
-        *,
-        ticks: int | None = None,
-        sink: Callable[[list[TraceEntry]], None] | None = None,
-    ) -> RunResult:
-        """Run every tick.  *sink* receives each tick's trace entries as the
-        tick ends; without one they are collected into ``RunResult.trace``."""
+    def run(self, *, ticks: int | None = None, sink: Sink | None = None) -> RunResult:
+        """Run every tick.  *sink* receives each tick's trace entries and
+        metrics rows as the tick ends; without one they are collected into
+        ``RunResult.trace`` and ``RunResult.metrics``."""
         total = self.config.ticks if ticks is None else ticks
-        trace: list[TraceEntry] = []
+        result = RunResult(trace=[], metrics=[], roster=self.roster)
         if sink is None:
-            sink = trace.extend
-        metrics: list[dict] = []
+
+            def sink(entries: list[TraceEntry], rows: list[MetricsRow]) -> None:
+                result.trace.extend(entries)
+                result.metrics.extend(rows)
+
         for t in range(total):
-            tick_trace, rows = self.run_tick(t)
-            sink(tick_trace)
-            metrics.extend(rows)
-        return RunResult(
-            trace=trace, metrics=metrics, roster=self.roster, seed=self.seed, meta=self.meta(total)
-        )
+            sink(*self.run_tick(t))
+        return result
 
 
 def _announced_variant(message: Message) -> str:
@@ -544,11 +551,10 @@ def _announced_variant(message: Message) -> str:
 # writers
 
 
-def write_metrics(rows: list[dict], path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+def write_metrics(rows: list[MetricsRow], fh: TextIO) -> None:
+    """Append CSV rows; the header is the row ``METRICS_COLUMNS``.  *fh* is
+    opened with ``newline=""``, as the csv module asks."""
+    csv.writer(fh).writerows(rows)
 
 
 def write_trace_text(trace: list[TraceEntry], fh: TextIO) -> None:

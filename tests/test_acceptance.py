@@ -43,6 +43,7 @@ from nea.norms import (
     relevance_decay,
 )
 from nea.society import (
+    METRICS_COLUMNS,
     ScenarioConfig,
     Society,
     write_metrics,
@@ -342,13 +343,15 @@ def test_criterion_4_generation_and_decay():
 
 def load_emitted(tmp_path):
     config = ScenarioConfig.load(builtin_scenario("mask"))
-    result = Society(config).run()
+    society = Society(config)
+    result = society.run()
     trace_path = tmp_path / "trace.jsonl"
     metrics_path = tmp_path / "metrics.csv"
     with trace_path.open("w", encoding="utf-8") as fh:
-        write_trace_meta(result.meta, fh)
+        write_trace_meta(society.meta(config.ticks), fh)
         write_trace_structured(result.trace, fh)
-    write_metrics(result.metrics, metrics_path)
+    with metrics_path.open("w", encoding="utf-8", newline="") as fh:
+        write_metrics([METRICS_COLUMNS, *result.metrics], fh)
 
     records = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
     meta, records = records[0], records[1:]

@@ -13,7 +13,9 @@ import sys
 
 import pytest
 
+import nea.cli
 import nea.cycle
+import nea.society
 from nea import builtin_scenario
 from nea.cli import main
 from nea.cycle import InterpreterFault
@@ -151,6 +153,38 @@ def test_run_fault_leaves_no_outputs(tmp_path, monkeypatch, capsys, trace_format
     assert main(argv) == 1
     assert "interpreter fault" in capsys.readouterr().err
     assert list(out.glob("*")) == [], "no metrics.csv, no trace, no leftover .trace.*.tmp"
+
+
+def test_run_streams_metrics_rows_tick_by_tick(tmp_path, monkeypatch):
+    events: list[tuple] = []
+    run_tick, write_metrics = nea.society.Society.run_tick, nea.cli.write_metrics
+
+    def logged_tick(self, t, *rest):
+        events.append(("tick", t))
+        return run_tick(self, t, *rest)
+
+    def logged_write(rows, fh):
+        events.append(("rows", sorted({row[0] for row in rows})))
+        write_metrics(rows, fh)
+
+    monkeypatch.setattr(nea.society.Society, "run_tick", logged_tick)
+    monkeypatch.setattr(nea.cli, "write_metrics", logged_write)
+    assert main(["run", "mask", "--ticks", "3", "--out", str(tmp_path)]) == 0
+    header = [("rows", ["tick"])]
+    assert events == header + [e for t in range(3) for e in (("tick", t), ("rows", [t]))]
+
+
+def test_run_malformed_norm_message_faults(tmp_path, capsys):
+    sender = '!go.\n+!go <- .sendMsg(b, norm(obligation, "+x <- y.", 0, 1, "ALL", [0.1,0.1])).'
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"ticks": 5, "agents": [{"id": "a", "program": sender}, {"id": "b", "program": "idle."}]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 1
+    assert "interpreter fault: [b @ ProcMsg] bad norm message" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 def mask_copy(tmp_path):

@@ -390,6 +390,23 @@ def test_malformed_content_faults():
         process_message(agent, msg("??!"), make_env())
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        'norm(obligation, "+x <- y.", 0, 1, "ALL", [0.1,0.1])',  # no np__ marker
+        'norm(obligation, "np__ +x <- y.", 0, 1)',  # four arguments
+        'norm(allowed, "np__ +x <- y.", 0, 1, "ALL", [0.1,0.1])',  # unknown operator
+    ],
+)
+def test_malformed_norm_message_faults(content):
+    agent = build_agent(PATROL_SOURCE)
+    beliefs, norms = set(agent.bs), list(agent.NB)
+    with pytest.raises(InterpreterFault, match=r"@ ProcMsg\] bad norm message") as info:
+        process_message(agent, msg(content), make_env())
+    assert info.value.step == "ProcMsg"
+    assert agent.bs == beliefs and agent.NB == norms
+
+
 # ----------------------------------------------------------------------
 # context evaluation
 
@@ -587,6 +604,29 @@ personality__: { [0.5,0.5,0.5,0.5,0.5], 0.9,
     assert [s.literal.functor for s in means.remaining] == ["take_break"]
 
 
+def test_coping_queue_holds_one_pending_intention_per_action():
+    source = """\
+gloomy.
+
+personality__: { [0.5,0.5,0.5,0.5,0.5], 0.9,
+  [cope([-1.0,-0.2],[-1.0,1.0],[take_break, call_friend]),
+   cope([-1.0,0.0],[-1.0,1.0],[call_friend, walk]),
+   cope([-0.8,-0.4],[-0.5,0.5],[take_break])], 0.0 }.
+"""
+    agent = build_agent(source)
+    sizes = []
+    for t in range(200):
+        agent.Ta.sigma = (-0.5, 0.0)  # inside all three ranges on every tick
+        tick(agent, make_env(tick=t))
+        sizes.append(len(agent.C.I))
+        pending = [m.remaining[0].literal.functor for i in agent.C.I for m in i.stack if m.remaining]
+        assert len(pending) == len(set(pending)), f"tick {t}: {pending}"
+    assert max(sizes) <= 3, "at most one pending coping intention per distinct action"
+    done = Counter(a.functor for a in agent.C.A)
+    assert set(done) == {"take_break", "call_friend", "walk"}
+    assert min(done.values()) >= 50, "every action is re-queued once it has run"
+
+
 # ----------------------------------------------------------------------
 # decay pass
 
@@ -751,7 +791,7 @@ def test_memory_appended_between_ticks_is_appraised_once():
 
 def test_pending_belief_update_makes_the_agent_walk():
     agent = build_agent(PATROL_SOURCE)
-    queue_belief_add(agent, Literal("greeted"), SOURCE_SELF, StepLabel.ExecInt)
+    queue_belief_add(agent, Literal("greeted"), SOURCE_SELF)
     entries, _ = tick(agent, make_env())
     assert agent.holds(Literal("greeted"))
     assert entries[10].step == "AffModB" and entries[10].summary == "+1/-0 beliefs"

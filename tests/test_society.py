@@ -3,10 +3,13 @@ and determinism."""
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nea.society
 from nea import builtin_scenario
@@ -129,14 +132,89 @@ def test_scenario_loads_builtin():
         ({"params": {"relevance_weight": 10**400}}, "'params.relevance_weight' must be a number"),
         ({"observation": {"reactions": {"comply": [float("-inf"), 0.1]}}}, "reactions.comply' must be a pair"),
         ({"params": {"deviation_threshold": [0.5, float("nan")]}}, "deviation_threshold' must be a pair"),
+        ({"observation": {"authority": []}}, "'observation.authority' must be a string, got \\[\\]"),
+        (5, "scenario must be a JSON object, got 5"),
+        (None, "scenario must be a JSON object, got None"),
+        ({"agents": [{"id": "a", "program": "missing.nea"}]}, "'agents\\[0\\].program': .*missing.nea"),
+        ({"agents": [{"id": "a", "program": "bad\0.nea"}]}, "'agents\\[0\\].program': "),
+        ({"agents": [{"id": "ALL", "program": "x.\n"}]}, "'agents\\[0\\].id' 'ALL' names every agent"),
     ],
 )
-def test_scenario_rejections(broken, message):
-    bad = raw(**{k: v for k, v in broken.items() if v is not None})
-    if broken.get("ticks", "keep") is None:
-        bad.pop("ticks")
+def test_scenario_rejections(broken, message, tmp_path):
+    if isinstance(broken, dict):  # overrides of MINI; a None value drops the key
+        bad = raw(**{k: v for k, v in broken.items() if v is not None})
+        if broken.get("ticks", "keep") is None:
+            bad.pop("ticks")
+    else:  # the whole scenario
+        bad = broken
     with pytest.raises(ScenarioError, match=message):
-        ScenarioConfig.from_dict(bad)
+        ScenarioConfig.from_dict(bad, base=tmp_path)
+
+
+def test_program_file_that_is_not_utf8_is_keyed(tmp_path):
+    (tmp_path / "a.nea").write_bytes(b"standby.\n\xff\n")
+    with pytest.raises(ScenarioError, match="'agents\\[0\\].program': .*utf-8"):
+        ScenarioConfig.from_dict(raw(agents=[{"id": "a", "program": "a.nea"}]), base=tmp_path)
+
+
+@pytest.mark.parametrize("text", [b'{"name": "\xff"}', b"[" * 100_000 + b"]" * 100_000])
+def test_scenario_file_that_does_not_decode_is_keyed(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(text)
+    with pytest.raises(ScenarioError, match="not valid JSON"):
+        ScenarioConfig.load(path)
+
+
+# Values a mutation puts in place of a scenario field: wrong types, bad
+# pairs, bad literals, unknown agents, non-finite and oversized numbers.
+JUNK = st.sampled_from(
+    [
+        None, True, 0, -1, 3, 1.5, 10**400, float("nan"), float("inf"),
+        "", "x", "??!", "x(", "norm(", "ghost", "missing.nea", "ALL",
+        [], [1], [0.1, 0.2], [0.1, 0.2, 0.3], ["a", 0.5], [[0.6, 0.2]], ["ghost"], ["x", "x"],
+        {}, {"a": 1}, {"at": 1}, {"agents": ["ghost"], "literal": "x", "at": 1},
+    ]
+)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key or index) inside a JSON-like value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix, key
+        yield from _paths(child, (*prefix, key))
+
+
+@st.composite
+def mutated_mask(draw) -> dict:
+    scenario = json.loads(builtin_scenario("mask").read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        where, key = draw(st.sampled_from(list(_paths(scenario))))
+        parent = scenario
+        for part in where:
+            parent = parent[part]
+        action = draw(st.sampled_from(("replace", "delete", "append")))
+        if action == "delete":
+            del parent[key]
+        elif action == "append" and isinstance(parent[key], list):
+            parent[key].append(copy.deepcopy(draw(JUNK)))
+        else:
+            parent[key] = copy.deepcopy(draw(JUNK))
+    return scenario
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=mutated_mask())
+def test_mutated_scenarios_load_or_raise_scenario_error(scenario):
+    try:
+        Society(ScenarioConfig.from_dict(scenario, base=builtin_scenario("mask").parent))
+    except ScenarioError:
+        pass
 
 
 def test_scenario_program_paths_need_a_directory():
@@ -377,13 +455,18 @@ def test_percept_pulses_reach_only_their_targets():
 # metrics
 
 
+def named(rows) -> list[dict]:
+    """Metrics rows keyed by column name."""
+    return [dict(zip(METRICS_COLUMNS, row)) for row in rows]
+
+
 def test_metrics_rows_shape():
     society = Society(mask_config())
     result = society.run(ticks=12)
     assert len(result.metrics) == 12 * 5
     for row in result.metrics:
-        assert tuple(row) == METRICS_COLUMNS
-    variants = {(r["tick"], r["agent"], r["variant"]) for r in result.metrics if r["variant"]}
+        assert len(row) == len(METRICS_COLUMNS)
+    variants = {(r["tick"], r["agent"], r["variant"]) for r in named(result.metrics) if r["variant"]}
     assert (9, "prof_rebel", "break") in variants
     assert (11, "prof_conformist", "comply") in variants
     # students never announce
@@ -412,7 +495,7 @@ def test_each_announcement_is_parsed_once(monkeypatch):
     result = society.run(ticks=40)
     assert announcements >= 4
     assert parses == announcements
-    assert sum(1 for row in result.metrics if row["variant"]) == announcements
+    assert sum(1 for row in named(result.metrics) if row["variant"]) == announcements
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +505,7 @@ def test_each_announcement_is_parsed_once(monkeypatch):
 def run_lines(ticks: int = 40) -> list[str]:
     result = Society(mask_config()).run(ticks=ticks)
     lines = [e.text() + "|" + json.dumps(e.payload, sort_keys=True) for e in result.trace]
-    lines += [",".join(str(row[c]) for c in METRICS_COLUMNS) for row in result.metrics]
+    lines += [",".join(map(str, row)) for row in result.metrics]
     return lines
 
 
@@ -431,13 +514,13 @@ def test_same_seed_is_byte_identical():
 
 
 def test_seed_override_changes_only_delivery_order():
-    base = Society(mask_config()).run(ticks=30)
-    other = Society(mask_config(), seed=99).run(ticks=30)
+    base_society, other_society = Society(mask_config()), Society(mask_config(), seed=99)
+    base, other = base_society.run(ticks=30), other_society.run(ticks=30)
     # the arc is seed-independent even though batch shuffling differs
-    base_variants = [(r["tick"], r["agent"], r["variant"]) for r in base.metrics if r["variant"]]
-    other_variants = [(r["tick"], r["agent"], r["variant"]) for r in other.metrics if r["variant"]]
+    base_variants = [(r["tick"], r["agent"], r["variant"]) for r in named(base.metrics) if r["variant"]]
+    other_variants = [(r["tick"], r["agent"], r["variant"]) for r in named(other.metrics) if r["variant"]]
     assert base_variants == other_variants
-    assert base.seed == 7 and other.seed == 99
+    assert base_society.seed == 7 and other_society.seed == 99
 
 
 # ----------------------------------------------------------------------
@@ -445,10 +528,11 @@ def test_seed_override_changes_only_delivery_order():
 
 
 def test_structured_trace_carries_meta_header(tmp_path):
-    result = Society(mask_config()).run(ticks=2)
+    society = Society(mask_config())
+    result = society.run(ticks=2)
     path = tmp_path / "trace.jsonl"
     with path.open("w", encoding="utf-8") as fh:
-        write_trace_meta(result.meta, fh)
+        write_trace_meta(society.meta(2), fh)
         write_trace_structured(result.trace, fh)
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
@@ -478,12 +562,14 @@ def test_structured_lines_match_json_dumps():
 
 
 def test_run_streams_each_tick_to_the_sink():
-    batches: list[list] = []
-    result = Society(mask_config()).run(ticks=3, sink=batches.append)
-    assert result.trace == []
-    assert [{e.tick for e in batch} for batch in batches] == [{0}, {1}, {2}]
-    collected = Society(mask_config()).run(ticks=3).trace
-    assert [e for batch in batches for e in batch] == collected
+    batches: list[tuple[list, list]] = []
+    result = Society(mask_config()).run(ticks=3, sink=lambda entries, rows: batches.append((entries, rows)))
+    assert result.trace == [] and result.metrics == []
+    assert [{e.tick for e in entries} for entries, _ in batches] == [{0}, {1}, {2}]
+    assert [{row[0] for row in rows} for _, rows in batches] == [{0}, {1}, {2}]
+    collected = Society(mask_config()).run(ticks=3)
+    assert [e for entries, _ in batches for e in entries] == collected.trace
+    assert [row for _, rows in batches for row in rows] == collected.metrics
 
 
 def test_agent_program_syntax_error_names_the_agent():
