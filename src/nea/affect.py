@@ -265,9 +265,10 @@ def _satisfies(state: set, present: set, absent: set) -> bool:
     return present <= state and not (absent & state)
 
 
-def _believed(present: set, bs_literals: set) -> set:
-    """The avoid literals (texts in *present*) that the belief base holds."""
-    return present & {render_literal(lit) for lit in bs_literals}
+def believed_condition(record: FeedbackRecord, belief_texts: frozenset) -> frozenset:
+    """The record's avoid literals (present condition texts) that the belief
+    base holds: all that detection and revision read of the beliefs."""
+    return frozenset(text for text, flag in record.condition if flag and text in belief_texts)
 
 
 def _simulation_seed(plan: PlanDef, believed: set) -> set:
@@ -302,18 +303,19 @@ def _apply_step(state: set, step: BodyStep) -> None:
 def detect_social_norm(
     record: FeedbackRecord,
     ps: list,
-    bs_literals: set,
+    belief_texts: frozenset,
     threshold: AffectPair = (0.5, 0.5),
 ) -> list:
     """Plans whose execution can leave the agent in the record's condition,
     once the accumulated feedback deviates negatively beyond *threshold*
-    on either component.  Positive deviations never trigger."""
+    on either component.  Positive deviations never trigger.
+    *belief_texts* holds the texts of the believed literals."""
     acc_p, acc_a = record.accumulated
     if not (acc_p <= -threshold[0] or acc_a <= -threshold[1]):
         return []
 
     present, absent = _condition_parts(record.condition)
-    believed = _believed(present, bs_literals)
+    believed = present & belief_texts
     flagged = []
     for plan in ps:
         state = _simulation_seed(plan, believed)
@@ -327,13 +329,13 @@ def detect_social_norm(
 def revise_plan(
     plan: PlanDef,
     record: FeedbackRecord,
-    bs_literals: set,
+    belief_texts: frozenset,
 ) -> PlanDef:
     """Copy of *plan* that deletes, immediately before the body step that
     completes the avoid condition, the avoid literals still true at that
     point — so executing the plan no longer lands in the punished state."""
     present, absent = _condition_parts(record.condition)
-    state = _simulation_seed(plan, _believed(present, bs_literals))
+    state = _simulation_seed(plan, present & belief_texts)
 
     completing_index = 0 if _satisfies(state, present, absent) else None
     before_state = set(state)

@@ -219,7 +219,8 @@ def cmd_run(args) -> int:
             write_metrics([METRICS_COLUMNS], metrics_fh)
             society.run(ticks=ticks, sink=sink)
     except InterpreterFault as exc:
-        print(f"nea run: interpreter fault: {exc}", file=sys.stderr)
+        where = "" if exc.tick is None else f" (tick {exc.tick})"
+        print(f"nea run: interpreter fault: {exc}{where}", file=sys.stderr)
         return 1
 
     print(

@@ -255,6 +255,9 @@ class FeedbackRecord:
     condition: frozenset  # frozenset[tuple[str, bool]]: (literal text, present?)
     accumulated: AffectPair = (0.0, 0.0)
     count: int = 0
+    # what the last social-norm detection that flagged nothing read; None
+    # until then (see cycle.run_affective_cycle)
+    settled: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -281,9 +284,15 @@ class AgentConfig:
     _next_iid: int = 0
     # index of the first Mem entry the affective pass has not yet seen
     mem_cursor: int = field(default=0, repr=False, compare=False)
+    # bumped by each write to ps: norm adoption and plan revision
+    plan_version: int = field(default=0, repr=False, compare=False)
     # literal -> number of sources believing it; kept beside bs by
     # add_belief / remove_belief, which are the only writers of bs
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # sorted texts of the held literals, and the same as a set; None once
+    # the held literals change, rebuilt on the next read
+    _texts: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _text_set: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for b in self.bs:
@@ -291,11 +300,21 @@ class AgentConfig:
 
     # -- belief-base helpers -------------------------------------------
 
-    def literals(self) -> set:
-        return set(self._held)
-
     def holds(self, literal: Literal) -> bool:
         return literal in self._held
+
+    def belief_texts(self) -> tuple:
+        """Sorted texts of the believed literals."""
+        if self._texts is None:
+            self._texts = tuple(sorted(render_literal(lit) for lit in self._held))
+            self._text_set = frozenset(self._texts)
+        return self._texts
+
+    def belief_text_set(self) -> frozenset:
+        """``belief_texts`` as a set."""
+        if self._texts is None:
+            self.belief_texts()
+        return self._text_set
 
     def add_belief(self, literal: Literal, source: str) -> bool:
         """Add a (literal, source) pair; True if the base changed."""
@@ -303,7 +322,10 @@ class AgentConfig:
         if belief in self.bs:
             return False
         self.bs.add(belief)
-        self._held[literal] = self._held.get(literal, 0) + 1
+        count = self._held.get(literal, 0)
+        if not count:
+            self._texts = None
+        self._held[literal] = count + 1
         return True
 
     def remove_belief(self, literal: Literal, source: str | None = None) -> bool:
@@ -314,6 +336,7 @@ class AgentConfig:
         if source is None:
             self.bs -= {b for b in self.bs if b.literal == literal}
             del self._held[literal]
+            self._texts = None
             return True
         belief = Belief(literal, source)
         if belief not in self.bs:
@@ -321,6 +344,7 @@ class AgentConfig:
         self.bs.remove(belief)
         if count == 1:
             del self._held[literal]
+            self._texts = None
         else:
             self._held[literal] = count - 1
         return True

@@ -28,6 +28,20 @@ unapplied responses into the affective state, revises plans punished by
 social feedback, and queues coping actions.  ``run_decay`` then pulls the
 affective state toward neutral and erodes the relevance of unreinforced
 norms.  ``tick`` strings the three passes together.
+
+The affective pass has a quiet path too.  A feedback record is *settled*
+once ``detect_social_norm`` flagged nothing for it and nothing that call
+read has changed since: the believed condition literals (the record's
+present condition texts that the belief base holds), the plan library
+(``AgentConfig.plan_version``, bumped by norm adoption and by each plan
+revision), the record's accumulated pair and the deviation threshold.
+Detection would flag nothing again, so the full pass skips settled
+records.  An agent with no ``Mem`` entry past ``mem_cursor``, no coping
+strategy matching sigma and every record settled would appraise, apply,
+revise and queue nothing; ``run_affective_cycle`` emits its four entries
+(``Appr`` "0/0 appraised", ``UpAs`` "0 applied, sigma [...]", ``SelCs``
+"0 coping", ``Cope`` "0 coping intentions") and empties ``Ta.Cs``, as the
+full pass would.
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ from dataclasses import dataclass, field
 from .affect import (
     affect_decay,
     appraise,
+    believed_condition,
     cope,
     detect_social_norm,
     accumulate_feedback,
@@ -130,7 +145,10 @@ AST_ORDER: tuple[AffectiveStepLabel, ...] = (
 
 
 class InterpreterFault(RuntimeError):
-    """An interpreter invariant was violated; carries agent id and step."""
+    """An interpreter invariant was violated; carries agent id and step, and
+    the tick once the society harness has seen the fault."""
+
+    tick: int | None = None
 
     def __init__(self, agent_id: str, step: str, reason: str) -> None:
         super().__init__(f"[{agent_id} @ {step}] {reason}")
@@ -201,6 +219,7 @@ def _adopt_norm(agent: AgentConfig, decl) -> str | None:
     nb = NormativeBelief.from_decl(decl, cycle=agent.cycle)
     agent.NB.append(nb)
     gen_norm_plans(agent.ps, nb)
+    agent.plan_version += 1
     return nid
 
 
@@ -639,12 +658,55 @@ def _quiet_walk(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
 # affective pass
 
 
+def _feedback_stamp(agent: AgentConfig, record, texts: frozenset, env: EnvironmentView) -> tuple:
+    """Everything ``detect_social_norm`` reads for *record*: the believed
+    condition literals, the plan library (by version), the accumulated
+    feedback and the deviation threshold."""
+    return (
+        believed_condition(record, texts),
+        agent.plan_version,
+        record.accumulated,
+        env.deviation_threshold,
+    )
+
+
+def _quiet_affect(agent: AgentConfig, env: EnvironmentView) -> bool:
+    """No fresh memory, no coping strategy selected, every feedback record
+    settled."""
+    if agent.mem_cursor != len(agent.Mem):
+        return False
+    if agent.P.coping and select_coping(agent.P.coping, agent.Ta.sigma):
+        return False
+    if agent.feedback:
+        texts = agent.belief_text_set()
+        for record in agent.feedback.values():
+            if record.settled != _feedback_stamp(agent, record, texts, env):
+                return False
+    return True
+
+
+def _quiet_affective_pass(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
+    """What the full affective pass does and emits for a quiet agent."""
+    agent.Ta.Cs = []
+    agent.ast = AffectiveStepLabel.Appr
+    t, aid, sig = env.tick, agent.id, agent.Ta.sigma
+    return [
+        TraceEntry(t, aid, "Appr", "0/0 appraised", {}),
+        TraceEntry(t, aid, "UpAs", f"0 applied, sigma [{sig[0]:.3f},{sig[1]:.3f}]", {}),
+        TraceEntry(t, aid, "SelCs", "0 coping", {"revised": []}),
+        TraceEntry(t, aid, "Cope", "0 coping intentions", {}),
+    ]
+
+
 def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
     """Appr -> UpAs -> SelCs -> Cope over memory entries not yet appraised.
 
     ``Mem`` is append-only and every entry of a batch is marked appraised,
-    so the batch is read from ``agent.mem_cursor`` on.
+    so the batch is read from ``agent.mem_cursor`` on.  A quiet agent (see
+    the module docstring) takes the shortcut.
     """
+    if _quiet_affect(agent, env):
+        return _quiet_affective_pass(agent, env)
     entries: list[TraceEntry] = []
     start = agent.mem_cursor
     agent.mem_cursor = len(agent.Mem)
@@ -674,17 +736,22 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
         _entry(agent, env, "UpAs", f"{applied_n} applied, sigma [{sig[0]:.3f},{sig[1]:.3f}]")
     )
 
-    # SelCs: revise plans punished by accumulated social feedback, then pick
-    # the coping strategies matching the current affective state.
+    # SelCs: revise plans punished by accumulated social feedback (a settled
+    # record is skipped: detection would flag nothing again), then pick the
+    # coping strategies matching the current affective state.
     agent.ast = AffectiveStepLabel.SelCs
     revised: list[str] = []
-    believed = agent.literals() if agent.feedback else set()
-    for key in list(agent.feedback):
-        record = agent.feedback[key]
-        flagged = detect_social_norm(record, agent.ps, believed, env.deviation_threshold)
+    texts = agent.belief_text_set() if agent.feedback else frozenset()
+    for record in agent.feedback.values():
+        stamp = _feedback_stamp(agent, record, texts, env)
+        if record.settled == stamp:
+            continue
+        flagged = detect_social_norm(record, agent.ps, texts, env.deviation_threshold)
+        record.settled = None if flagged else stamp
         for plan in flagged:
-            replacement = revise_plan(plan, record, believed)
+            replacement = revise_plan(plan, record, texts)
             agent.ps[agent.ps.index(plan)] = replacement
+            agent.plan_version += 1
             revised.append(render_plan(replacement))
     agent.Ta.Cs = select_coping(agent.P.coping, agent.Ta.sigma)
     summary = f"{len(agent.Ta.Cs)} coping"
@@ -717,7 +784,7 @@ def run_decay(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         f"sigma [{sig[0]:.3f},{sig[1]:.3f}]",
         sigma=[sig[0], sig[1]],
         relevance={nb.id: nb.relevance for nb in agent.NB},
-        beliefs=sorted(render_literal(l) for l in agent.literals()),
+        beliefs=list(agent.belief_texts()),
         feedback={
             "|".join(sorted(("+" if f else "-") + t for t, f in key)): list(rec.accumulated)
             for key, rec in agent.feedback.items()

@@ -32,7 +32,7 @@ from .core import (
     Message,
     agent_from_program,
 )
-from .cycle import OBSERVER_CHANNEL, EnvironmentView, TraceEntry, tick as agent_tick
+from .cycle import OBSERVER_CHANNEL, EnvironmentView, InterpreterFault, TraceEntry, tick as agent_tick
 from .lang import LangError, Literal, parse_agent_program, parse_literal_text, render_literal
 
 #: Broadcast pseudo-recipient: everyone except the sender.
@@ -380,8 +380,8 @@ class Society:
             elif message.recipient in self.roster:
                 self._deliver_copy(message, message.recipient)
             else:
-                raise ScenarioError(
-                    f"message from {message.sender} to unknown recipient {message.recipient!r}"
+                raise InterpreterFault(
+                    message.sender, "ExecInt", f"message to unknown recipient {message.recipient!r}"
                 )
 
     # -- observation fabric ---------------------------------------------
@@ -472,24 +472,28 @@ class Society:
         #    land at tick boundaries)
         results: dict[str, tuple[list[TraceEntry], list[Message]]] = {}
         actions_before = {aid: len(agent.C.A) for aid, agent in self.roster.items()}
-        for aid, agent in self.roster.items():
-            env = self._env(t)
-            env.percepts = self._percepts_for(aid, t)
-            results[aid] = agent_tick(agent, env)
-
-        # 3. route outbound mail and announcements, then let the observation
-        #    fabric react to what this tick produced
         trace: list[TraceEntry] = []
         announcements: list[tuple[Message, str]] = []
         announced: dict[str, str] = {}  # an agent's last variant this tick
-        for aid in self.roster:
-            entries, outbound = results[aid]
-            trace.extend(entries)
-            for message in outbound:
-                if message.recipient == OBSERVER_CHANNEL:
-                    variant = announced[aid] = _announced_variant(message)
-                    announcements.append((message, variant))
-            self._route(outbound)
+        try:
+            for aid, agent in self.roster.items():
+                env = self._env(t)
+                env.percepts = self._percepts_for(aid, t)
+                results[aid] = agent_tick(agent, env)
+
+            # 3. route outbound mail and announcements, then let the
+            #    observation fabric react to what this tick produced
+            for aid in self.roster:
+                entries, outbound = results[aid]
+                trace.extend(entries)
+                for message in outbound:
+                    if message.recipient == OBSERVER_CHANNEL:
+                        variant = announced[aid] = _announced_variant(message)
+                        announcements.append((message, variant))
+                self._route(outbound)
+        except InterpreterFault as exc:
+            exc.tick = t
+            raise
         self._authority_react(announcements)
         self._observers_react()
 

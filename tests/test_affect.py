@@ -260,7 +260,7 @@ def masked_campus_record(pleasure=-0.6, arousal=-0.2) -> FeedbackRecord:
 
 def test_detection_needs_negative_deviation():
     plan = parse_plan_text(CONFORMIST_EXIT)
-    bs = {Literal("wearing_mask"), Literal("in_classroom")}
+    bs = frozenset({"wearing_mask", "in_classroom"})
     below = masked_campus_record(-0.4, -0.4)
     assert detect_social_norm(below, [plan], bs, threshold=(0.5, 0.5)) == []
     at_threshold = masked_campus_record(-0.5, -0.4)
@@ -272,7 +272,7 @@ def test_detection_needs_negative_deviation():
 def test_detection_flags_only_reaching_plans():
     conformist = parse_plan_text(CONFORMIST_EXIT)
     rebel = parse_plan_text(REBEL_EXIT)
-    bs = {Literal("wearing_mask"), Literal("in_classroom")}
+    bs = frozenset({"wearing_mask", "in_classroom"})
     record = masked_campus_record()
     flagged = detect_social_norm(record, [conformist, rebel], bs)
     assert flagged == [conformist], "the rebel plan removes the mask before campus"
@@ -281,7 +281,7 @@ def test_detection_flags_only_reaching_plans():
 def test_revision_reproduces_the_rebel_plan():
     conformist = parse_plan_text(CONFORMIST_EXIT)
     rebel = parse_plan_text(REBEL_EXIT)
-    bs = {Literal("wearing_mask"), Literal("in_classroom")}
+    bs = frozenset({"wearing_mask", "in_classroom"})
     revised = revise_plan(conformist, masked_campus_record(), bs)
     assert revised == rebel
     assert render_plan(revised) == render_plan(rebel)
@@ -293,7 +293,7 @@ def test_revision_seed_ignores_plan_added_literals():
     # standing on campus when the revision runs: in_campus is believed, but
     # the plan itself re-adds it, so no -in_campus deletion is inserted
     conformist = parse_plan_text(CONFORMIST_EXIT)
-    bs = {Literal("wearing_mask"), Literal("in_campus")}
+    bs = frozenset({"wearing_mask", "in_campus"})
     revised = revise_plan(conformist, masked_campus_record(), bs)
     deletions = [s.literal.functor for s in revised.body if s.kind is StepKind.DEL]
     assert deletions == ["in_classroom", "wearing_mask"]
@@ -301,7 +301,7 @@ def test_revision_seed_ignores_plan_added_literals():
 
 def test_revision_requires_reachable_state():
     rebel = parse_plan_text(REBEL_EXIT)
-    bs = {Literal("wearing_mask"), Literal("in_classroom")}
+    bs = frozenset({"wearing_mask", "in_classroom"})
     with pytest.raises(ValueError, match="does not reach"):
         revise_plan(rebel, masked_campus_record(), bs)
 
@@ -310,7 +310,7 @@ def test_revision_preserves_plan_identity_fields():
     plan = parse_plan_text("@route +exit:in <- -in; +out.")
     record = FeedbackRecord(condition=frozenset({("hat_on", True), ("out", True)}))
     record.accumulated = (-0.9, 0.0)
-    revised = revise_plan(plan, record, {Literal("hat_on"), Literal("in")})
+    revised = revise_plan(plan, record, frozenset({"hat_on", "in"}))
     assert revised.label == plan.label
     assert revised.trigger == plan.trigger
     assert revised.context == plan.context

@@ -18,6 +18,7 @@ import nea.cycle
 import nea.society
 from nea import builtin_scenario
 from nea.cli import main
+from nea.core import StepLabel
 from nea.cycle import InterpreterFault
 from nea.society import METRICS_COLUMNS
 
@@ -153,6 +154,35 @@ def test_run_fault_leaves_no_outputs(tmp_path, monkeypatch, capsys, trace_format
     assert main(argv) == 1
     assert "interpreter fault" in capsys.readouterr().err
     assert list(out.glob("*")) == [], "no metrics.csv, no trace, no leftover .trace.*.tmp"
+
+
+def test_run_fault_names_its_tick(tmp_path, monkeypatch, capsys):
+    inner = nea.cycle.step
+
+    def faulty(agent, env):
+        if env.tick == 5 and agent.s is StepLabel.SelEv:
+            raise InterpreterFault(agent.id, "SelEv", "injected")
+        return inner(agent, env)
+
+    monkeypatch.setattr(nea.cycle, "step", faulty)
+    assert main(["run", "mask", "--ticks", "20", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "interpreter fault: [" in err and "@ SelEv] injected (tick 5)" in err
+
+
+def test_run_unknown_recipient_faults(tmp_path, capsys):
+    sender = "!go.\n+!go <- .sendMsg(nobody, hello)."
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"ticks": 5, "agents": [{"id": "a", "program": sender}, {"id": "b", "program": "idle."}]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "interpreter fault: [a @ ExecInt] message to unknown recipient 'nobody' (tick 0)" in err
+    assert "Traceback" not in err
+    assert list(out.glob("*")) == []
 
 
 def test_run_streams_metrics_rows_tick_by_tick(tmp_path, monkeypatch):

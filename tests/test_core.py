@@ -22,7 +22,7 @@ from nea.core import (
     snapshot,
     snapshot_text,
 )
-from nea.lang import Literal, TriggerType, parse_agent_program, parse_norm_literal
+from nea.lang import Literal, TriggerType, parse_agent_program, parse_norm_literal, render_literal
 
 from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent
 
@@ -75,20 +75,20 @@ def test_belief_index_agrees_with_bs_for_two_sources():
     lit = Literal("y")
     agent.add_belief(lit, SOURCE_SELF)
     agent.add_belief(lit, SOURCE_PERCEPT)
-    assert agent.literals() == {Literal("x"), lit}
+    assert agent.belief_texts() == ("x", "y")
     assert agent._held == held_reference(agent) == {Literal("x"): 1, lit: 2}
 
     # a percept going away keeps the self copy
     assert agent.remove_belief(lit, SOURCE_PERCEPT)
     assert not agent.remove_belief(lit, SOURCE_PERCEPT), "already gone"
     assert agent.holds(lit)
-    assert agent.literals() == {Literal("x"), lit}
+    assert agent.belief_texts() == ("x", "y")
     assert agent.bs == {Belief(Literal("x")), Belief(lit, SOURCE_SELF)}
     assert agent._held == held_reference(agent)
 
     assert agent.remove_belief(lit, SOURCE_SELF)
     assert not agent.holds(lit)
-    assert agent.literals() == {Literal("x")}
+    assert agent.belief_texts() == ("x",)
     assert agent._held == held_reference(agent)
 
 
@@ -106,7 +106,9 @@ def test_belief_index_follows_random_updates():
             before = any(b.literal == lit and source in (None, b.source) for b in agent.bs)
             assert agent.remove_belief(lit, source) is before
         assert agent._held == held_reference(agent)
-        assert agent.literals() == {b.literal for b in agent.bs}
+        texts = sorted(render_literal(lit) for lit in {b.literal for b in agent.bs})
+        assert agent.belief_texts() == tuple(texts)
+        assert agent.belief_text_set() == frozenset(texts)
         for probe in pool:
             assert agent.holds(probe) is any(b.literal == probe for b in agent.bs)
 

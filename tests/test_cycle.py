@@ -7,14 +7,16 @@ import copy
 import dataclasses
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nea.cycle
 import nea.society
 from nea import builtin_scenario
-from nea.affect import accumulate_feedback, queue_belief_add
+from nea.affect import accumulate_feedback, queue_belief_add, render_feedback
 from nea.core import (
     AffectiveStepLabel,
     Ilf,
@@ -52,7 +54,7 @@ from nea.lang import (
     parse_plan_text,
 )
 from nea.norms import BREAK, COMPLY
-from nea.society import ScenarioConfig, Society
+from nea.society import PerceptPulse, ScenarioConfig, Society
 
 from conftest import PATROL_SOURCE, build_agent
 
@@ -669,21 +671,40 @@ def _lines(entries) -> list[str]:
 
 
 def _state(agent) -> tuple:
-    return snapshot(agent), [(ev.appraised, ev.applied) for ev in agent.Mem], agent.mem_cursor
+    feedback = {key: (rec.accumulated, rec.count) for key, rec in agent.feedback.items()}
+    return snapshot(agent), [(ev.appraised, ev.applied) for ev in agent.Mem], agent.mem_cursor, feedback
 
 
-def run_against_full_walk(society: Society, ticks: int, monkeypatch) -> Counter:
-    """Run *society*, ticking a deep copy of each agent beside it with the
-    quiet shortcut turned off; every agent-tick must emit the same entries
-    and outbound mail and leave the same state.  Counts quiet agent-ticks."""
-    real_tick = nea.cycle.tick
+def full_passes(forced) -> None:
+    """Turn both quiet shortcuts off, and never let a feedback record count
+    as settled, so every tick walks the step machine and runs the full
+    affective pass with every detection."""
+    forced.setattr(nea.cycle, "_quiet", lambda agent, env: False)
+    forced.setattr(nea.cycle, "_quiet_affect", lambda agent, env: False)
+    forced.setattr(nea.cycle, "_feedback_stamp", lambda *args: object())
+
+
+def check_against_full_passes(mp) -> Counter:
+    """Make the society tick a deep copy of each agent beside it with
+    ``full_passes`` and no cached belief texts; every agent-tick must emit
+    the same entries and outbound mail and leave the same state.  The
+    counter gets the agent-ticks ("ticks") and how many took each quiet
+    path ("walk", "affect")."""
+    real_tick, real_quiet_affect = nea.cycle.tick, nea.cycle._quiet_affect
     quiet = Counter()
+
+    def counted_quiet_affect(agent, env):
+        taken = real_quiet_affect(agent, env)
+        quiet["affect"] += taken
+        return taken
 
     def checked_tick(agent, env):
         reference = copy.deepcopy(agent)
-        quiet[nea.cycle._quiet(agent, env)] += 1
-        with monkeypatch.context() as forced:
-            forced.setattr(nea.cycle, "_quiet", lambda agent, env: False)
+        reference._texts = None  # the reference rebuilds the belief-text cache
+        quiet["ticks"] += 1
+        quiet["walk"] += nea.cycle._quiet(agent, env)
+        with pytest.MonkeyPatch.context() as forced:
+            full_passes(forced)
             want_entries, want_out = real_tick(reference, env)
         entries, outbound = real_tick(agent, env)
         assert _lines(entries) == _lines(want_entries)
@@ -691,7 +712,14 @@ def run_against_full_walk(society: Society, ticks: int, monkeypatch) -> Counter:
         assert _state(agent) == _state(reference)
         return entries, outbound
 
-    monkeypatch.setattr(nea.society, "agent_tick", checked_tick)
+    mp.setattr(nea.cycle, "_quiet_affect", counted_quiet_affect)
+    mp.setattr(nea.society, "agent_tick", checked_tick)
+    return quiet
+
+
+def run_against_full_walk(society: Society, ticks: int, monkeypatch) -> Counter:
+    """Run *society* under ``check_against_full_passes``."""
+    quiet = check_against_full_passes(monkeypatch)
     society.run(ticks=ticks)
     return quiet
 
@@ -723,8 +751,9 @@ def crowd_config() -> ScenarioConfig:
 def test_quiet_ticks_equal_the_full_walk(monkeypatch, config, ticks):
     society = Society(config(), seed=7)
     quiet = run_against_full_walk(society, ticks, monkeypatch)
-    assert sum(quiet.values()) == ticks * len(society.roster)
-    assert quiet[True] > quiet[False] > 0, "both paths are exercised"
+    assert quiet["ticks"] == ticks * len(society.roster)
+    for path in ("walk", "affect"):
+        assert quiet["ticks"] > quiet[path] > quiet["ticks"] / 2, f"both {path} paths are exercised"
 
 
 def test_quiet_tick_emits_fresh_entries_without_stepping(monkeypatch):
@@ -795,3 +824,164 @@ def test_pending_belief_update_makes_the_agent_walk():
     entries, _ = tick(agent, make_env())
     assert agent.holds(Literal("greeted"))
     assert entries[10].step == "AffModB" and entries[10].summary == "+1/-0 beliefs"
+
+
+# ----------------------------------------------------------------------
+# quiet affective pass: settled feedback records
+
+
+#: Literals the mask programs believe, act on or are judged by.
+MASK_TEXTS = ("wearing_mask", "in_campus", "in_classroom", "enjoy_freetime", "enter_classroom", "exit_classroom")
+MASK_IDS = ("rectorate", "prof_conformist", "prof_rebel", "student_a", "student_b")
+#: A second norm: its comply and break plans join the library on adoption.
+EXIT_NORM_MSG = (
+    'norm("obligation", "np__exit_classroom : in_classroom <- take_off(mask); -wearing_mask.",'
+    ' 0, 4.0, ["professor"], [0.2,0.1])'
+)
+#: Feedback pairs below, at and past the (0.5, 0.5) deviation threshold
+#: once accumulated, and a positive one.
+FEEDBACK_PAIRS = ((-0.6, -0.2), (-0.3, -0.1), (-0.1, -0.6), (0.4, 0.1))
+PROPERTY_TICKS = 48
+
+_feedback_events = st.tuples(
+    st.integers(0, PROPERTY_TICKS - 1),
+    st.sampled_from(MASK_IDS),
+    st.lists(
+        st.tuples(st.sampled_from(MASK_TEXTS), st.booleans()), min_size=1, max_size=3, unique_by=lambda c: c[0]
+    ),
+    st.sampled_from(FEEDBACK_PAIRS),
+)
+_percept_flips = st.tuples(
+    st.integers(0, PROPERTY_TICKS - 1), st.sampled_from(MASK_IDS), st.sampled_from(MASK_TEXTS)
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    feedback=st.lists(_feedback_events, max_size=10),
+    flips=st.lists(_percept_flips, max_size=8),
+    norm_at=st.integers(1, PROPERTY_TICKS - 1),
+    norm_to=st.sampled_from(MASK_IDS),
+)
+def test_random_feedback_and_percepts_equal_the_full_passes(feedback, flips, norm_at, norm_to):
+    config = ScenarioConfig.load(builtin_scenario("mask"))
+    config.pulses += [PerceptPulse((aid,), Literal(text), at=t) for t, aid, text in flips]
+    society = Society(config, seed=7)
+    mail = defaultdict(list)
+    for t, aid, condition, pair in feedback:
+        mail[t].append((aid, msg(render_feedback(condition, pair))))
+    mail[norm_at].append((norm_to, msg(EXIT_NORM_MSG, sender="rectorate")))
+    with pytest.MonkeyPatch.context() as mp:
+        quiet = check_against_full_passes(mp)
+        for t in range(PROPERTY_TICKS):
+            for aid, message in mail[t]:
+                society._deliver_copy(message, aid)
+            society.run_tick(t)
+    assert quiet["ticks"] == PROPERTY_TICKS * len(MASK_IDS)
+
+
+MASKED_CAMPUS = frozenset({("wearing_mask", True), ("in_campus", True)})
+
+
+def settled_patrol():
+    """A patrol agent punished for walking the campus masked: its exit plan
+    is revised on the first tick, and the record settles on the second."""
+    agent = build_agent(PATROL_SOURCE)
+    env = make_env(n_agents=1, decay_affect=0.0)
+    agent.add_belief(Literal("wearing_mask"), SOURCE_SELF)
+    accumulate_feedback(agent.feedback, MASKED_CAMPUS, (-0.6, -0.2))
+    first, _ = tick(agent, env)
+    assert "revised 1 plan(s)" in next(e.summary for e in first if e.step == "SelCs")
+    tick(agent, env)
+    record = agent.feedback[MASKED_CAMPUS]
+    assert record.settled is not None
+    return agent, env, record
+
+
+def detections(monkeypatch) -> list:
+    """Records that ``detect_social_norm`` is called with, from now on."""
+    calls: list = []
+    inner = nea.cycle.detect_social_norm
+
+    def counted(record, *args):
+        calls.append(record)
+        return inner(record, *args)
+
+    monkeypatch.setattr(nea.cycle, "detect_social_norm", counted)
+    return calls
+
+
+def test_settled_agent_takes_the_quiet_affective_pass(monkeypatch):
+    agent, env, _ = settled_patrol()
+    calls = detections(monkeypatch)
+    monkeypatch.setattr(nea.cycle, "cope", None)  # the quiet pass must not call it
+    agent.Ta.sigma = (0.25, -0.5)
+    agent.Ta.Cs = ["stale"]
+    first = run_affective_cycle(agent, env)
+    second = run_affective_cycle(agent, env)
+    assert calls == []
+    assert [(e.step, e.summary, e.payload) for e in first] == [
+        ("Appr", "0/0 appraised", {}),
+        ("UpAs", "0 applied, sigma [0.250,-0.500]", {}),
+        ("SelCs", "0 coping", {"revised": []}),
+        ("Cope", "0 coping intentions", {}),
+    ]
+    assert agent.Ta.Cs == [] and agent.ast is AffectiveStepLabel.Appr
+    assert all(a.payload is not b.payload for a, b in zip(first, second))
+    assert first[2].payload["revised"] is not second[2].payload["revised"]
+
+
+def _flip_condition_literal(agent, env, record):
+    agent.remove_belief(Literal("wearing_mask"))
+
+
+def _adopt_a_norm(agent, env, record):
+    assert _adopt_norm(agent, parse_norm_literal(EXIT_NORM_MSG)) is not None
+
+
+def _accumulate_more(agent, env, record):
+    accumulate_feedback(agent.feedback, MASKED_CAMPUS, (-0.1, 0.0))
+
+
+def _move_the_threshold(agent, env, record):
+    env.deviation_threshold = (0.4, 0.4)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_flip_condition_literal, _adopt_a_norm, _accumulate_more, _move_the_threshold],
+    ids=lambda fn: fn.__name__.strip("_"),
+)
+def test_record_unsettles_when_what_detection_reads_changes(monkeypatch, change):
+    agent, env, record = settled_patrol()
+    calls = detections(monkeypatch)
+    change(agent, env, record)
+    assert not nea.cycle._quiet_affect(agent, env)
+    run_affective_cycle(agent, env)
+    assert calls == [record], "detection runs once more"
+    run_affective_cycle(agent, env)
+    assert calls == [record], "and the record settles again"
+
+
+def test_belief_outside_the_condition_keeps_the_record_settled(monkeypatch):
+    agent, env, _ = settled_patrol()
+    calls = detections(monkeypatch)
+    agent.add_belief(Literal("raining"), SOURCE_SELF)
+    agent.add_belief(Literal("in_campus"), SOURCE_PERCEPT)  # a second source: still believed
+    assert nea.cycle._quiet_affect(agent, env)
+    run_affective_cycle(agent, env)
+    assert calls == []
+
+
+def test_fresh_memory_or_selected_coping_takes_the_full_pass():
+    agent, env, _ = settled_patrol()
+    agent.Mem.append(MemoryEvent(tick=env.tick, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.0, 0.0)))
+    assert not nea.cycle._quiet_affect(agent, env)
+    run_affective_cycle(agent, env)
+    assert nea.cycle._quiet_affect(agent, env)
+    gloomy = build_agent(
+        "personality__: { [0.5,0.5,0.5,0.5,0.5], 0.9, [cope([-1.0,-0.2],[-1.0,1.0],[rest])], 0.0 }."
+    )
+    assert nea.cycle._quiet_affect(gloomy, env)
+    gloomy.Ta.sigma = (-0.5, 0.0)
+    assert not nea.cycle._quiet_affect(gloomy, env)

@@ -26,7 +26,7 @@ from nea.society import (
     write_trace_meta,
     write_trace_structured,
 )
-from nea.cycle import OBSERVER_CHANNEL, TraceEntry
+from nea.cycle import OBSERVER_CHANNEL, InterpreterFault, TraceEntry
 
 MINI = {
     "name": "mini",
@@ -305,14 +305,15 @@ def test_direct_message_reaches_one_recipient():
     assert not society.roster["c"].holds(Literal("hello"))
 
 
-def test_unknown_recipient_is_a_scenario_error():
+def test_unknown_recipient_is_an_interpreter_fault():
     spec = raw(
         ticks=2,
         agents=[{"id": "a", "program": "standby.\n\n!go.\n\n+!go <- .sendMsg(ghost, hello)."}],
     )
     society = Society(ScenarioConfig.from_dict(spec))
-    with pytest.raises(ScenarioError, match="unknown recipient 'ghost'"):
+    with pytest.raises(InterpreterFault, match="unknown recipient 'ghost'") as caught:
         society.run()
+    assert (caught.value.agent_id, caught.value.step, caught.value.tick) == ("a", "ExecInt", 0)
 
 
 # ----------------------------------------------------------------------
