@@ -271,7 +271,7 @@ def believed_condition(record: FeedbackRecord, belief_texts: frozenset) -> froze
     return frozenset(text for text, flag in record.condition if flag and text in belief_texts)
 
 
-def _simulation_seed(plan: PlanDef, believed: set) -> set:
+def _simulation_seed(plan: PlanDef, believed: frozenset) -> set:
     """Start state for post-state simulation.
 
     Seeded with the *believed* avoid literals — except those the plan
@@ -283,7 +283,7 @@ def _simulation_seed(plan: PlanDef, believed: set) -> set:
     plan_adds = {
         render_literal(step.literal) for step in plan.body if step.kind is StepKind.ADD
     }
-    state = believed - plan_adds
+    state = {text for text in believed if text not in plan_adds}
     for cl in plan.context:
         text = render_literal(cl.literal)
         if cl.negated:
@@ -315,7 +315,7 @@ def detect_social_norm(
         return []
 
     present, absent = _condition_parts(record.condition)
-    believed = present & belief_texts
+    believed = believed_condition(record, belief_texts)
     flagged = []
     for plan in ps:
         state = _simulation_seed(plan, believed)
@@ -335,7 +335,7 @@ def revise_plan(
     completes the avoid condition, the avoid literals still true at that
     point — so executing the plan no longer lands in the punished state."""
     present, absent = _condition_parts(record.condition)
-    state = _simulation_seed(plan, present & belief_texts)
+    state = _simulation_seed(plan, believed_condition(record, belief_texts))
 
     completing_index = 0 if _satisfies(state, present, absent) else None
     before_state = set(state)
