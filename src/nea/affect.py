@@ -4,6 +4,8 @@ belief synchronisation, and social-feedback accumulation with plan revision.
 
 from __future__ import annotations
 
+import functools
+
 from .core import (
     AffectPair,
     AgentConfig,
@@ -179,8 +181,11 @@ def render_feedback(condition, pair: AffectPair) -> str:
     return f"({lits}),[{pair[0]!r},{pair[1]!r}]"
 
 
+@functools.lru_cache(maxsize=256)
 def parse_feedback(text: str) -> tuple[tuple[tuple[str, bool], ...], AffectPair]:
-    """Parse the feedback wire format; inverse of ``render_feedback``."""
+    """Parse the feedback wire format; inverse of ``render_feedback``.
+    Observers repeat one text, so each is parsed once (the result is a
+    tuple of tuples; a malformed text is not cached)."""
     tokens = tokenize(text)
     pos = 0
 

@@ -30,18 +30,21 @@ affective state toward neutral and erodes the relevance of unreinforced
 norms.  ``tick`` strings the three passes together.
 
 The affective pass has a quiet path too.  A feedback record is *settled*
-once ``detect_social_norm`` flagged nothing for it and nothing that call
-read has changed since: the believed condition literals (the record's
-present condition texts that the belief base holds), the plan library
-(``AgentConfig.plan_version``, bumped by norm adoption and by each plan
-revision), the record's accumulated pair and the deviation threshold.
-Detection would flag nothing again, so the full pass skips settled
-records.  An agent with no ``Mem`` entry past ``mem_cursor``, no coping
-strategy matching sigma and every record settled would appraise, apply,
-revise and queue nothing; ``run_affective_cycle`` emits its four entries
-(``Appr`` "0/0 appraised", ``UpAs`` "0 applied, sigma [...]", ``SelCs``
-"0 coping", ``Cope`` "0 coping intentions") and empties ``Ta.Cs``, as the
-full pass would.
+once ``detect_social_norm`` flagged no plan for it that revision would
+change, and nothing that call read has changed since: the believed
+condition literals (the record's present condition texts that the belief
+base holds), the plan library (``AgentConfig.plan_version``, bumped by norm
+adoption and by each plan revision), the record's accumulated pair and the
+deviation threshold.  A flagged plan that ``revise_plan`` returns unchanged
+(no avoid literal holds before the step that completes the condition) is
+not a revision: SelCs writes no plan, leaves ``plan_version`` alone and
+reports nothing for it.  Detection would find nothing new again, so the
+full pass skips settled records.  An agent with no ``Mem`` entry past
+``mem_cursor``, no coping strategy matching sigma and every record settled
+would appraise, apply, revise and queue nothing; ``run_affective_cycle``
+emits its four entries (``Appr`` "0/0 appraised", ``UpAs`` "0 applied,
+sigma [...]", ``SelCs`` "0 coping", ``Cope`` "0 coping intentions") and
+empties ``Ta.Cs``, as the full pass would.
 """
 
 from __future__ import annotations
@@ -746,13 +749,16 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
         stamp = _feedback_stamp(agent, record, texts, env)
         if record.settled == stamp:
             continue
-        flagged = detect_social_norm(record, agent.ps, texts, env.deviation_threshold)
-        record.settled = None if flagged else stamp
-        for plan in flagged:
+        changed = False
+        for plan in detect_social_norm(record, agent.ps, texts, env.deviation_threshold):
             replacement = revise_plan(plan, record, texts)
+            if replacement == plan:  # no avoid literal to delete: not a revision
+                continue
             agent.ps[agent.ps.index(plan)] = replacement
             agent.plan_version += 1
             revised.append(render_plan(replacement))
+            changed = True
+        record.settled = None if changed else stamp
     agent.Ta.Cs = select_coping(agent.P.coping, agent.Ta.sigma)
     summary = f"{len(agent.Ta.Cs)} coping"
     if revised:

@@ -22,6 +22,8 @@ trigger matches base-plan events) and recorded as ``PlanDef.normative``.
 
 from __future__ import annotations
 
+import functools
+
 from .ast import (
     AgentProgram,
     BodyStep,
@@ -587,9 +589,12 @@ def parse_norm_literal(text: str) -> NormDecl:
     return norm_from_literal(lit, tok.line, tok.col)
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_literal_text(text: str) -> Literal:
     """Parse a single ground literal (trailing '.' optional), as found in
-    message contents."""
+    message contents.  A society sends the same few texts over and over, so
+    each is parsed once; a ``Literal`` is immutable, and a text that fails
+    to parse is not cached."""
     parser = Parser(tokenize(text))
     lit = parser._parse_literal()
     parser._match(TokenType.DOT)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AffectPair, Intention, NormativeBelief, clamp_pair, scalar_mood
+from .core import AffectPair, Intention, MemKind, NormativeBelief, clamp_pair, scalar_mood
 from .lang import AFFECT_FUNCTOR, BodyStep, Literal, PlanDef, StepKind
 
 COMPLY = "comply"
@@ -53,8 +53,6 @@ def relevance_decay(
     recorded at *tick*.  Memory ticks never decrease (``check_invariants``
     holds them to that), so only the tail of *mem* from *tick* on is read.
     """
-    from .core import MemKind  # local import keeps module load order simple
-
     reinforced = set()
     for ev in reversed(mem):
         if ev.tick < tick:

@@ -6,7 +6,10 @@ copy), scheduled percept pulses, and the observation fabric — compliance and
 violation announcements are routed to the issuing authority, whose reaction
 policy answers the actor with an appraisal-carrying reply; watching agents
 get a per-tick view of the public state and answer norm-deviant states with
-social feedback.
+social feedback.  That feedback is edge-triggered per watched target: its
+state is judged once per tick and compared with its state the tick before
+(every observer sees every target on every tick, so this is the same edge
+as one per observer/target pair), and a duplicated observer id counts once.
 
 Runs are deterministic for a given scenario and seed: agents are processed
 in roster order, policies are pure, and the run seed's only consumer is the
@@ -342,11 +345,24 @@ class Society:
             )
         self._mids = itertools.count(1)
         self._pending: dict[str, list[Message]] = {aid: [] for aid in self.roster}
-        self._edge: dict[tuple[str, str], bool] = {}
         self._frac_cache: dict = {}
+        # the pulses aimed at each agent, in scenario order
+        self._pulses: dict[str, list[PerceptPulse]] = {aid: [] for aid in self.roster}
+        for pulse in config.pulses:
+            for aid in dict.fromkeys(pulse.agents):
+                self._pulses[aid].append(pulse)
         policy = config.observation
         self._condition = [parse_literal_text(text) for text in policy.condition]
         self._feedback = render_feedback([(text, True) for text in policy.condition], policy.pair)
+        self._observers = tuple(dict.fromkeys(policy.observers))
+        wanted = set(policy.target_roles)
+        self._targets = [
+            (target_id, target)
+            for target_id, target in self.roster.items()
+            if not wanted or wanted & set(target.roles)
+        ]
+        # each watched target's judged state on the last tick
+        self._watched: dict[str, bool] = {target_id: False for target_id, _ in self._targets}
 
     # -- routing -------------------------------------------------------
 
@@ -412,37 +428,31 @@ class Society:
 
         Every condition literal is public (checked at load), so a target's
         public state contains the condition exactly when the target holds
-        every condition literal.  That is judged once per watched target,
-        then read by each observer.
+        every condition literal.  That is judged once per watched target and
+        compared with the target's state last tick; each observer then sends
+        feedback to every other target whose state rose from False to True.
         """
-        policy = self.config.observation
-        if not policy.observers or not policy.condition:
+        if not self._observers or not self._condition:
             return
-        wanted = set(policy.target_roles)
-        lits = self._condition
-        states = {
-            target_id: all(target.holds(lit) for lit in lits)
-            for target_id, target in self.roster.items()
-            if not wanted or wanted & set(target.roles)
-        }
-        for observer in policy.observers:
-            for target_id, state in states.items():
-                if target_id == observer:
-                    continue
-                key = (observer, target_id)
-                if state and not self._edge.get(key, False):
-                    feedback = Message(mid=-1, sender=observer, ilf=Ilf.Tell, content=self._feedback)
+        lits, watched = self._condition, self._watched
+        risen = []
+        for target_id, target in self._targets:
+            state = all(target.holds(lit) for lit in lits)
+            if state and not watched[target_id]:
+                risen.append(target_id)
+            watched[target_id] = state
+        if not risen:
+            return
+        for observer in self._observers:
+            feedback = Message(mid=-1, sender=observer, ilf=Ilf.Tell, content=self._feedback)
+            for target_id in risen:
+                if target_id != observer:
                     self._deliver_copy(feedback, target_id)
-                self._edge[key] = state
 
     # -- one tick --------------------------------------------------------
 
     def _percepts_for(self, agent_id: str, t: int) -> set:
-        out: set = set()
-        for pulse in self.config.pulses:
-            if agent_id in pulse.agents and pulse.fires(t):
-                out.add(pulse.literal)
-        return out
+        return {pulse.literal for pulse in self._pulses[agent_id] if pulse.fires(t)}
 
     def _env(self, t: int) -> EnvironmentView:
         cfg = self.config
@@ -475,9 +485,9 @@ class Society:
         trace: list[TraceEntry] = []
         announcements: list[tuple[Message, str]] = []
         announced: dict[str, str] = {}  # an agent's last variant this tick
+        env = self._env(t)
         try:
             for aid, agent in self.roster.items():
-                env = self._env(t)
                 env.percepts = self._percepts_for(aid, t)
                 results[aid] = agent_tick(agent, env)
 
@@ -572,7 +582,36 @@ def write_trace_meta(meta: dict, fh: TextIO) -> None:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_encode_payload = json.JSONEncoder(sort_keys=True).encode
+
+
+def _payload_encoder() -> Callable[[dict], str]:
+    """``JSONEncoder(sort_keys=True).encode`` for a payload dict, with the
+    C encoder built once instead of on every call.  Without the ``_json``
+    accelerator (``c_make_encoder`` is None) it is that method itself."""
+    make = json.encoder.c_make_encoder
+    base = json.JSONEncoder(sort_keys=True)
+    if make is None:
+        return base.encode
+    markers: dict = {}
+    # the arguments JSONEncoder.iterencode passes for a one-shot encode
+    c_encode = make(
+        markers, base.default, _encode_str, base.indent, base.key_separator,
+        base.item_separator, base.sort_keys, base.skipkeys, base.allow_nan,
+    )
+
+    def encode(payload: dict) -> str:
+        try:
+            return "".join(c_encode(payload, 0))
+        except BaseException:
+            # a failed encode leaves its open containers in the circular-
+            # reference markers, which the next payload would trip over
+            markers.clear()
+            raise
+
+    return encode
+
+
+_encode_payload = _payload_encoder()
 
 
 def write_trace_structured(trace: list[TraceEntry], fh: TextIO) -> None:

@@ -985,3 +985,21 @@ def test_fresh_memory_or_selected_coping_takes_the_full_pass():
     assert nea.cycle._quiet_affect(gloomy, env)
     gloomy.Ta.sigma = (-0.5, 0.0)
     assert not nea.cycle._quiet_affect(gloomy, env)
+
+
+def test_revision_that_changes_nothing_settles_the_record(monkeypatch):
+    # the exit plan adds in_campus after deleting in_classroom: no avoid
+    # literal holds before that step, so its "revision" is the plan itself
+    agent = build_agent(PATROL_SOURCE)
+    env = make_env(n_agents=1, decay_affect=0.0)
+    record = accumulate_feedback(agent.feedback, frozenset({("in_campus", True)}), (-0.6, -0.2))
+    plans, version = list(agent.ps), agent.plan_version
+    calls = detections(monkeypatch)
+    first = run_affective_cycle(agent, env)
+    assert calls == [record]
+    selcs = next(e for e in first if e.step == "SelCs")
+    assert (selcs.summary, selcs.payload) == ("0 coping", {"revised": []})
+    assert agent.ps == plans and agent.plan_version == version
+    assert nea.cycle._quiet_affect(agent, env)
+    run_affective_cycle(agent, env)
+    assert calls == [record]

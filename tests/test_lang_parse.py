@@ -15,6 +15,7 @@ from nea.lang import (
     TriggerKind,
     TriggerType,
     parse_agent_program,
+    parse_literal_text,
     parse_norm_literal,
     parse_plan_text,
 )
@@ -271,6 +272,14 @@ def test_only_sendmsg_internal_action():
 def test_trailing_input_rejected():
     with pytest.raises(ParseError, match="trailing"):
         parse_plan_text("+p <- act. extra")
+
+
+def test_malformed_literal_fails_on_every_call():
+    # parse_literal_text caches what it parses, but never a failure
+    for _ in range(2):
+        with pytest.raises(ParseError, match="trailing"):
+            parse_literal_text("wearing_mask extra")
+    assert parse_literal_text("in_campus(1.5)") is parse_literal_text("in_campus(1.5)")
 
 
 def test_goal_trigger_with_np_marker():

@@ -359,8 +359,10 @@ def reference_feedback(society, edge: dict) -> list[tuple[str, str]]:
     return sent
 
 
-def test_observer_fabric_matches_per_observer_reference():
-    society = Society(ScenarioConfig.from_dict(FABRIC))
+def check_fabric_against_reference(observers: list[str]) -> None:
+    spec = copy.deepcopy(FABRIC)
+    spec["observation"]["feedback"]["observers"] = observers
+    society = Society(ScenarioConfig.from_dict(spec))
     # per tick: the agents masked on campus; covers enter, stay, leave and
     # re-enter, an observer that is also watched, and an unwatched agent
     timeline = [
@@ -390,9 +392,20 @@ def test_observer_fabric_matches_per_observer_reference():
             batch.clear()
         assert [(m.recipient, m.sender) for m in pending] == expected
         assert {m.content for m in pending} <= {"(+wearing_mask;+in_campus),[-0.3,-0.1]"}
-        assert dict(society._edge) == edge
+        # every observer judges a target alike, so the reference's pair edges
+        # collapse to the harness's state per target
+        assert society._watched == {target: state for (_, target), state in edge.items()}
         seen_messages += len(pending)
     assert seen_messages == 16
+
+
+def test_observer_fabric_matches_per_observer_reference():
+    check_fabric_against_reference(["o3", "o1", "o2"])
+
+
+def test_duplicated_observer_sends_once_per_edge():
+    # the reference's pair dict sends once per (observer, target) edge
+    check_fabric_against_reference(["o3", "o1", "o3", "o2", "o1"])
 
 
 # ----------------------------------------------------------------------
@@ -543,14 +556,30 @@ def test_structured_trace_carries_meta_header(tmp_path):
     assert set(first) == {"tick", "agent", "step", "summary", "payload"}
 
 
-def test_structured_lines_match_json_dumps():
+#: the ``_json`` accelerator's ``c_make_encoder``, and None as where it is missing
+ENCODER_PATHS = (json.encoder.c_make_encoder, None)
+
+
+def use_payload_encoder(monkeypatch, make) -> None:
+    """Rebuild the structured writer's payload encoder with *make* as
+    ``json.encoder.c_make_encoder``."""
+    monkeypatch.setattr(json.encoder, "c_make_encoder", make)
+    monkeypatch.setattr(nea.society, "_encode_payload", nea.society._payload_encoder())
+
+
+def structured_lines(entries) -> str:
+    out = io.StringIO()
+    write_trace_structured(entries, out)
+    return out.getvalue()
+
+
+def test_structured_lines_match_json_dumps(monkeypatch):
     entries = [
         TraceEntry(0, "a", "Perceive", "idle"),
         TraceEntry(12, "prof_ü", "SelAppl", 'say "hi"\tthen\\go', {"z": [1.5, None], "a": {"k": "é"}}),
         TraceEntry(3, "b", "Decay", "", {"sigma": [0.1, -2e-07], "ok": True}),
+        TraceEntry(4, "c", "UpAs", "x", {"zero": -0.0, "big": 2**70, "empty": [{}, [], {"e": []}]}),
     ]
-    out = io.StringIO()
-    write_trace_structured(entries, out)
     expected = "".join(
         json.dumps(
             {"tick": e.tick, "agent": e.agent, "step": e.step, "summary": e.summary, "payload": e.payload},
@@ -559,7 +588,21 @@ def test_structured_lines_match_json_dumps():
         + "\n"
         for e in entries
     )
-    assert out.getvalue() == expected
+    for make in ENCODER_PATHS:
+        use_payload_encoder(monkeypatch, make)
+        assert structured_lines(entries) == expected
+
+
+def test_failed_payload_leaves_the_encoder_usable(monkeypatch):
+    for make in ENCODER_PATHS:
+        use_payload_encoder(monkeypatch, make)
+        inner: dict = {"k": object()}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            structured_lines([TraceEntry(0, "a", "ExecInt", "", {"a": inner})])
+        inner["k"] = 1  # the same dict, now encodable: no stale circular-reference mark
+        assert structured_lines([TraceEntry(0, "a", "ExecInt", "", {"a": inner})]) == (
+            '{"agent": "a", "payload": {"a": {"k": 1}}, "step": "ExecInt", "summary": "", "tick": 0}\n'
+        )
 
 
 def test_run_streams_each_tick_to_the_sink():
