@@ -19,7 +19,6 @@ Everything here is plain data; the step functions live in norms/affect/cycle.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -497,8 +496,3 @@ def snapshot(agent: AgentConfig) -> dict:
         "ast": agent.ast.value,
         "cycle": agent.cycle,
     }
-
-
-def snapshot_text(agent: AgentConfig) -> str:
-    """JSON text form of ``snapshot`` (stable key order)."""
-    return json.dumps(snapshot(agent), ensure_ascii=False, sort_keys=True)

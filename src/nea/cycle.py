@@ -45,10 +45,21 @@ would appraise, apply, revise and queue nothing; ``run_affective_cycle``
 emits its four entries (``Appr`` "0/0 appraised", ``UpAs`` "0 applied,
 sigma [...]", ``SelCs`` "0 coping", ``Cope`` "0 coping intentions") and
 empties ``Ta.Cs``, as the full pass would.
+
+An agent-tick that takes both quiet paths emits fifteen entries that differ
+from one agent-tick to the next only in tick, agent and the UpAs sigma text,
+then its decay entry.  ``tick`` returns such an agent-tick as one record,
+``QuietTick(tick, agent, upas, decay)``, instead of the sixteen entries: the
+trace writers render it from a template built once per agent, and
+``QuietTick.entries`` (or ``expand`` over a list of entries and records)
+gives back the entries it stands for.  The fifteen are written down once,
+in ``_QUIET_ROWS``, from which the quiet walk, the quiet affective pass and
+the record all build.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -642,19 +653,27 @@ def _quiet(agent: AgentConfig, env: EnvironmentView) -> bool:
     )
 
 
-#: Labels a quiet pass walks through between Perceive and AffModB, all idle.
-_IDLE_LABELS = tuple(label.value for label in StepLabel)[1:-1]
+#: The fifteen entries a fully quiet agent-tick emits before its decay
+#: entry, as (step, summary, payload keys): the quiet walk's eleven (nine of
+#: them idle), then the quiet affective pass's four.  Each payload key holds
+#: a fresh empty list; the UpAs summary (None here) reports sigma.
+_QUIET_ROWS = (
+    ("Perceive", "+0/-0 percepts", ("new", "removed", "adopted")),
+    *((label.value, "idle", ()) for label in tuple(StepLabel)[1:-1]),
+    ("AffModB", "+0/-0 beliefs", ("added", "removed", "appraised")),
+    ("Appr", "0/0 appraised", ()),
+    ("UpAs", None, ()),
+    ("SelCs", "0 coping", ("revised",)),
+    ("Cope", "0 coping intentions", ()),
+)
+_QUIET_WALK, _QUIET_AFFECT = _QUIET_ROWS[: len(StepLabel)], _QUIET_ROWS[len(StepLabel) :]
 
 
-def _quiet_walk(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
-    """What ``_walk`` does and emits for a quiet agent, without the walk."""
-    agent.T.reset()
-    check_invariants(agent, StepLabel.Perceive)
-    t, aid = env.tick, agent.id
-    entries = [TraceEntry(t, aid, "Perceive", "+0/-0 percepts", {"new": [], "removed": [], "adopted": []})]
-    entries.extend([TraceEntry(t, aid, name, "idle", {}) for name in _IDLE_LABELS])
-    entries.append(TraceEntry(t, aid, "AffModB", "+0/-0 beliefs", {"added": [], "removed": [], "appraised": []}))
-    return entries
+def _quiet_entries(t: int, aid: str, rows: tuple, upas: str | None = None) -> list[TraceEntry]:
+    return [
+        TraceEntry(t, aid, step, upas if summary is None else summary, {key: [] for key in keys})
+        for step, summary, keys in rows
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -688,17 +707,16 @@ def _quiet_affect(agent: AgentConfig, env: EnvironmentView) -> bool:
     return True
 
 
-def _quiet_affective_pass(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
-    """What the full affective pass does and emits for a quiet agent."""
+def _upas_summary(applied: int, sig: AffectPair) -> str:
+    return f"{applied} applied, sigma [{sig[0]:.3f},{sig[1]:.3f}]"
+
+
+def _quiet_affect_state(agent: AgentConfig) -> str:
+    """What the full affective pass does to a quiet agent; returns the UpAs
+    summary it would emit."""
     agent.Ta.Cs = []
     agent.ast = AffectiveStepLabel.Appr
-    t, aid, sig = env.tick, agent.id, agent.Ta.sigma
-    return [
-        TraceEntry(t, aid, "Appr", "0/0 appraised", {}),
-        TraceEntry(t, aid, "UpAs", f"0 applied, sigma [{sig[0]:.3f},{sig[1]:.3f}]", {}),
-        TraceEntry(t, aid, "SelCs", "0 coping", {"revised": []}),
-        TraceEntry(t, aid, "Cope", "0 coping intentions", {}),
-    ]
+    return _upas_summary(0, agent.Ta.sigma)
 
 
 def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
@@ -709,7 +727,7 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
     the module docstring) takes the shortcut.
     """
     if _quiet_affect(agent, env):
-        return _quiet_affective_pass(agent, env)
+        return _quiet_entries(env.tick, agent.id, _QUIET_AFFECT, _quiet_affect_state(agent))
     entries: list[TraceEntry] = []
     start = agent.mem_cursor
     agent.mem_cursor = len(agent.Mem)
@@ -734,10 +752,7 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
             agent.Ta.sigma = update_affect(agent.Ta.sigma, ev.pair, ev.divisor)
             ev.applied = True
             applied_n += 1
-    sig = agent.Ta.sigma
-    entries.append(
-        _entry(agent, env, "UpAs", f"{applied_n} applied, sigma [{sig[0]:.3f},{sig[1]:.3f}]")
-    )
+    entries.append(_entry(agent, env, "UpAs", _upas_summary(applied_n, agent.Ta.sigma)))
 
     # SelCs: revise plans punished by accumulated social feedback (a settled
     # record is skipped: detection would flag nothing again), then pick the
@@ -791,34 +806,78 @@ def run_decay(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         sigma=[sig[0], sig[1]],
         relevance={nb.id: nb.relevance for nb in agent.NB},
         beliefs=list(agent.belief_texts()),
-        feedback={
-            "|".join(sorted(("+" if f else "-") + t for t, f in key)): list(rec.accumulated)
-            for key, rec in agent.feedback.items()
-        },
+        feedback={_condition_text(key): list(rec.accumulated) for key, rec in agent.feedback.items()},
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def _condition_text(condition: frozenset) -> str:
+    """A feedback record's key in the decay payload: its condition literals,
+    signed and sorted.  A record's condition never changes, so each is
+    rendered once."""
+    return "|".join(sorted(("+" if present else "-") + text for text, present in condition))
 
 
 # ----------------------------------------------------------------------
 # one full tick
 
 
-def tick(agent: AgentConfig, env: EnvironmentView) -> tuple[list[TraceEntry], list[Message]]:
-    """Run one complete reasoning tick; returns (trace entries, outbound).
+@dataclass(slots=True)
+class QuietTick:
+    """An agent-tick that took both quiet paths, in place of its sixteen
+    entries: the fifteen of ``_QUIET_ROWS`` (*upas* is the UpAs summary)
+    and the *decay* entry."""
+
+    tick: int
+    agent: str
+    upas: str
+    decay: TraceEntry
+
+    def entries(self) -> list[TraceEntry]:
+        """The sixteen entries this record stands for, with fresh payloads."""
+        entries = _quiet_entries(self.tick, self.agent, _QUIET_ROWS, self.upas)
+        entries.append(self.decay)
+        return entries
+
+
+def expand(items: list[TraceEntry | QuietTick]) -> list[TraceEntry]:
+    """Trace entries and quiet-tick records, as plain entries."""
+    entries: list[TraceEntry] = []
+    for item in items:
+        if isinstance(item, QuietTick):
+            entries.extend(item.entries())
+        else:
+            entries.append(item)
+    return entries
+
+
+def tick(agent: AgentConfig, env: EnvironmentView) -> tuple[list[TraceEntry | QuietTick], list[Message]]:
+    """Run one complete reasoning tick; returns (trace items, outbound).
 
     The normative pass starts at Perceive and runs until AffModB completes
     (a quiet agent takes the shortcut described in the module docstring);
-    the affective pass and the decay step follow.  Outbound messages are
-    drained from the mailbox for the harness to deliver.
+    the affective pass and the decay step follow.  The trace items are the
+    tick's entries, or one ``QuietTick`` when both quiet paths are taken
+    (``expand`` turns either into entries).  Outbound messages are drained
+    from the mailbox for the harness to deliver.
     """
     if agent.s is not StepLabel.Perceive:
         raise InterpreterFault(agent.id, agent.s.value, "tick must start at Perceive")
-    entries = _quiet_walk(agent, env) if _quiet(agent, env) else _walk(agent, env)
-    entries.extend(run_affective_cycle(agent, env))
-    entries.append(run_decay(agent, env))
+    quiet = _quiet(agent, env)
+    if quiet:  # what the walk does to a quiet agent, without the walk
+        agent.T.reset()
+        check_invariants(agent, StepLabel.Perceive)
+    if quiet and _quiet_affect(agent, env):
+        upas = _quiet_affect_state(agent)
+        items: list = [QuietTick(env.tick, agent.id, upas, run_decay(agent, env))]
+    else:
+        items = _quiet_entries(env.tick, agent.id, _QUIET_WALK) if quiet else _walk(agent, env)
+        items.extend(run_affective_cycle(agent, env))
+        items.append(run_decay(agent, env))
     agent.cycle += 1
     outbound = agent.M.Out
     agent.M.Out = []
-    return entries, outbound
+    return items, outbound
 
 
 # ----------------------------------------------------------------------

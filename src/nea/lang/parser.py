@@ -574,21 +574,6 @@ def parse_plan_text(text: str) -> PlanDef:
     return plan
 
 
-def parse_norm_literal(text: str) -> NormDecl:
-    """Parse a standalone ``norm(...)`` literal (trailing '.' optional).
-
-    Raises NotANorm if the literal is well-formed but not a norm.
-    """
-    parser = Parser(tokenize(text))
-    tok = parser._current()
-    lit = parser._parse_literal()
-    parser._match(TokenType.DOT)
-    end = parser._current()
-    if end.type is not TokenType.EOF:
-        raise ParseError(f"trailing input {end.value!r} after norm literal", end.line, end.col)
-    return norm_from_literal(lit, tok.line, tok.col)
-
-
 @functools.lru_cache(maxsize=1024)
 def parse_literal_text(text: str) -> Literal:
     """Parse a single ground literal (trailing '.' optional), as found in

@@ -143,21 +143,21 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(TokenType.STRING, "".join(buf), start_line, start_col))
             continue
 
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             value = text[i:j]
             advance(j - i)

@@ -19,6 +19,7 @@ shuffle applied to messages delivered to the same recipient in the same tick.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import random
@@ -35,7 +36,15 @@ from .core import (
     Message,
     agent_from_program,
 )
-from .cycle import OBSERVER_CHANNEL, EnvironmentView, InterpreterFault, TraceEntry, tick as agent_tick
+from .cycle import (
+    OBSERVER_CHANNEL,
+    EnvironmentView,
+    InterpreterFault,
+    QuietTick,
+    TraceEntry,
+    expand,
+    tick as agent_tick,
+)
 from .lang import LangError, Literal, parse_agent_program, parse_literal_text, render_literal
 
 #: Broadcast pseudo-recipient: everyone except the sender.
@@ -315,7 +324,12 @@ def society_mood(roster: dict[str, AgentConfig]) -> tuple[float, float]:
 
 
 MetricsRow = tuple  # one metrics.csv row, its cells in METRICS_COLUMNS order
-Sink = Callable[[list[TraceEntry], list[MetricsRow]], None]
+TraceItem = TraceEntry | QuietTick
+#: Receives each tick's trace items and metrics rows as the tick ends.  A
+#: trace item is a ``TraceEntry`` or a ``QuietTick`` record standing for an
+#: agent-tick's sixteen entries; ``cycle.expand`` turns them into entries,
+#: and the trace writers take both.
+Sink = Callable[[list[TraceItem], list[MetricsRow]], None]
 
 
 @dataclass
@@ -468,7 +482,10 @@ class Society:
         )
 
     # `_unused` only keeps the positional slot that bench/child.py's wrapper passes
-    def run_tick(self, t: int, _unused=None) -> tuple[list[TraceEntry], list[MetricsRow]]:
+    def run_tick(self, t: int, _unused=None) -> tuple[list[TraceItem], list[MetricsRow]]:
+        """Run tick *t*; returns its trace items (entries, and one
+        ``QuietTick`` per agent-tick that took both quiet paths) and its
+        metrics rows, as a ``Sink`` receives them."""
         # 1. deliver last tick's mail; same-tick batches arrive in an order
         #    drawn from the run seed
         for aid in self.roster:
@@ -480,9 +497,9 @@ class Society:
 
         # 2. each agent runs one full tick (independent: mail and observation
         #    land at tick boundaries)
-        results: dict[str, tuple[list[TraceEntry], list[Message]]] = {}
+        results: dict[str, tuple[list[TraceItem], list[Message]]] = {}
         actions_before = {aid: len(agent.C.A) for aid, agent in self.roster.items()}
-        trace: list[TraceEntry] = []
+        trace: list[TraceItem] = []
         announcements: list[tuple[Message, str]] = []
         announced: dict[str, str] = {}  # an agent's last variant this tick
         env = self._env(t)
@@ -538,15 +555,16 @@ class Society:
         }
 
     def run(self, *, ticks: int | None = None, sink: Sink | None = None) -> RunResult:
-        """Run every tick.  *sink* receives each tick's trace entries and
-        metrics rows as the tick ends; without one they are collected into
-        ``RunResult.trace`` and ``RunResult.metrics``."""
+        """Run every tick.  *sink* receives each tick's trace items (entries
+        and ``QuietTick`` records, see ``Sink``) and metrics rows as the tick
+        ends; without one the rows are collected into ``RunResult.metrics``
+        and the items, expanded into plain entries, into ``RunResult.trace``."""
         total = self.config.ticks if ticks is None else ticks
         result = RunResult(trace=[], metrics=[], roster=self.roster)
         if sink is None:
 
-            def sink(entries: list[TraceEntry], rows: list[MetricsRow]) -> None:
-                result.trace.extend(entries)
+            def sink(items: list[TraceItem], rows: list[MetricsRow]) -> None:
+                result.trace.extend(expand(items))
                 result.metrics.extend(rows)
 
         for t in range(total):
@@ -571,9 +589,62 @@ def write_metrics(rows: list[MetricsRow], fh: TextIO) -> None:
     csv.writer(fh).writerows(rows)
 
 
-def write_trace_text(trace: list[TraceEntry], fh: TextIO) -> None:
-    """Append one ``TraceEntry.text()`` line per entry."""
-    fh.write("".join(e.text() + "\n" for e in trace))
+def _quiet_template(agent: str, line: Callable[[TraceEntry], str], split) -> tuple[tuple, tuple]:
+    """The lines of a ``QuietTick``'s fifteen entries for *agent*, as
+    (head, tail): their text at tick T with UpAs summary U is
+    ``T.join(head) + U + T.join(tail)``.
+
+    The pieces come from *line*, the writer's own line function, run on the
+    record's entries at tick 0.  *split* cuts each line at its tick field:
+    ``str.partition`` where that field comes first in a line,
+    ``str.rpartition`` where it comes last.  The UpAs line is also cut at
+    its summary, the last field that can hold the summary's text in either
+    format; that text is ASCII digits and punctuation, which both formats
+    write as it is.
+    """
+    probe = QuietTick(0, agent, "0 applied, sigma [0.000,0.000]", None)
+    pieces, at = [""], 0
+    for entry in probe.entries()[:-1]:
+        before, zero, after = split(line(entry), "0")
+        if zero != "0":
+            raise ValueError(f"no tick field where {split.__name__} looks in {line(entry)!r}")
+        pieces[-1] += before
+        pieces.append(after)
+        if entry.step == "UpAs":
+            at = len(pieces) - (1 if probe.upas in after else 2)
+    before, _, after = pieces[at].rpartition(probe.upas)
+    return (*pieces[:at], before), (after, *pieces[at + 1 :])
+
+
+def _write_items(trace: list[TraceItem], fh: TextIO, line: Callable[[TraceEntry], str], template) -> None:
+    """Write *line* of each entry; a ``QuietTick`` from *template* (its
+    agent's ``_quiet_template``), then its decay entry's line."""
+
+    def lines():
+        for item in trace:
+            if type(item) is QuietTick:
+                head, tail = template(item.agent)
+                t = str(item.tick)
+                yield t.join(head) + item.upas + t.join(tail) + line(item.decay)
+            else:
+                yield line(item)
+
+    fh.write("".join(lines()))
+
+
+def _text_line(e: TraceEntry) -> str:
+    return e.text() + "\n"
+
+
+@functools.lru_cache(maxsize=4096)
+def _text_template(agent: str) -> tuple[tuple, tuple]:
+    return _quiet_template(agent, _text_line, str.partition)
+
+
+def write_trace_text(trace: list[TraceItem], fh: TextIO) -> None:
+    """Append one ``TraceEntry.text()`` line per entry, sixteen per
+    ``QuietTick``."""
+    _write_items(trace, fh, _text_line, _text_template)
 
 
 def write_trace_meta(meta: dict, fh: TextIO) -> None:
@@ -614,20 +685,23 @@ def _payload_encoder() -> Callable[[dict], str]:
 _encode_payload = _payload_encoder()
 
 
-def write_trace_structured(trace: list[TraceEntry], fh: TextIO) -> None:
-    """Append one JSON record per entry.
-
-    Each line is assembled in the sorted key order, and is byte for byte
-    what ``json.dumps(record, sort_keys=True)`` gives, at a fraction of its
-    cost per line.
-    """
-    fh.write(
-        "".join(
-            f'{{"agent": {_encode_str(e.agent)}, '
-            f'"payload": {_encode_payload(e.payload) if e.payload else "{}"}, '
-            f'"step": {_encode_str(e.step)}, '
-            f'"summary": {_encode_str(e.summary)}, '
-            f'"tick": {e.tick}}}\n'
-            for e in trace
-        )
+def _structured_line(e: TraceEntry) -> str:
+    """One JSON record, assembled in the sorted key order: byte for byte what
+    ``json.dumps(record, sort_keys=True)`` gives, at a fraction of its cost."""
+    return (
+        f'{{"agent": {_encode_str(e.agent)}, '
+        f'"payload": {_encode_payload(e.payload) if e.payload else "{}"}, '
+        f'"step": {_encode_str(e.step)}, '
+        f'"summary": {_encode_str(e.summary)}, '
+        f'"tick": {e.tick}}}\n'
     )
+
+
+@functools.lru_cache(maxsize=4096)
+def _structured_template(agent: str) -> tuple[tuple, tuple]:
+    return _quiet_template(agent, _structured_line, str.rpartition)
+
+
+def write_trace_structured(trace: list[TraceItem], fh: TextIO) -> None:
+    """Append one JSON record per entry, sixteen per ``QuietTick``."""
+    _write_items(trace, fh, _structured_line, _structured_template)

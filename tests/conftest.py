@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from nea.core import agent_from_program
-from nea.lang import parse_agent_program
+from nea.lang import norm_from_literal, parse_agent_program, parse_literal_text
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -21,6 +21,11 @@ def corpus_files() -> list[Path]:
 @pytest.fixture(scope="session")
 def corpus() -> list[Path]:
     return corpus_files()
+
+
+def parse_norm(text: str):
+    """The norm declared by the text of a ``norm(...)`` literal."""
+    return norm_from_literal(parse_literal_text(text))
 
 
 def build_agent(source: str, agent_id: str = "a1", threshold: float = 25.0):

@@ -26,7 +26,6 @@ from nea.lang import (
     TriggerKind,
     TriggerType,
     parse_agent_program,
-    parse_norm_literal,
     parse_plan_text,
     render,
     render_plan,
@@ -52,7 +51,7 @@ from nea.society import (
 )
 from nea import builtin_scenario
 
-from conftest import corpus_files
+from conftest import corpus_files, parse_norm
 from test_cycle import fuzz_step_machine
 from test_norms import oracle_order, ordering_universe
 
@@ -155,7 +154,7 @@ def test_criterion_2_language_fragments_and_roundtrip():
             ),
         )
 
-        mask = parse_norm_literal(MASK_OBLIGATION)
+        mask = parse_norm(MASK_OBLIGATION)
         assert mask.deontic == "obligation"
         assert mask.limit == 0
         assert mask.relevance == 50.0
@@ -170,7 +169,7 @@ def test_criterion_2_language_fragments_and_roundtrip():
             (StepKind.ADD, Literal("wearing_mask"))
         ]
 
-        yell = parse_norm_literal(YELL_PROHIBITION)
+        yell = parse_norm(YELL_PROHIBITION)
         assert yell.deontic == "prohibition"
         assert yell.limit == 0
         assert yell.relevance == 50.0
@@ -206,7 +205,7 @@ def norm_of(deontic, limit, relevance=30.0, pa=(0.5, 0.25)):
         f'norm("{deontic}", "np__wake:not done <- put_on_mask; +done.",'
         f' {limit}, {relevance}, "ALL", [{pa[0]},{pa[1]}])'
     )
-    return NormativeBelief.from_decl(parse_norm_literal(text))
+    return NormativeBelief.from_decl(parse_norm(text))
 
 
 def test_criterion_3_kernels_match_oracles():
@@ -278,7 +277,7 @@ def test_criterion_4_generation_and_decay():
             relevance = round(rng.uniform(0.0, 60.0), 3)
             pa = (round(rng.uniform(-1, 1), 3), round(rng.uniform(-1, 1), 3))
             body = rng.choice(("do_it.", "do_it; +made.", "+made."))
-            decl = parse_norm_literal(
+            decl = parse_norm(
                 f'norm("{deontic}", "np__{trigger}:not busy <- {body}",'
                 f' {limit}, {relevance}, "ALL", [{pa[0]},{pa[1]}])'
             )

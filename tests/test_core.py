@@ -20,11 +20,10 @@ from nea.core import (
     norm_id,
     scalar_mood,
     snapshot,
-    snapshot_text,
 )
-from nea.lang import Literal, TriggerType, parse_agent_program, parse_norm_literal, render_literal
+from nea.lang import Literal, TriggerType, parse_agent_program, render_literal
 
-from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent
+from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent, parse_norm
 
 
 def test_initial_configuration():
@@ -114,9 +113,9 @@ def test_belief_index_follows_random_updates():
 
 
 def test_norm_id_is_stable_and_content_keyed():
-    decl = parse_norm_literal(MASK_NORM_TEXT)
-    again = parse_norm_literal(MASK_NORM_TEXT)
-    other = parse_norm_literal(
+    decl = parse_norm(MASK_NORM_TEXT)
+    again = parse_norm(MASK_NORM_TEXT)
+    other = parse_norm(
         'norm("obligation", "np__enter_classroom:role(professor) & not wearing_mask'
         ' <- +wearing_mask.", 0, 49.0, "ALL", [0.5,0.5])'
     )
@@ -149,7 +148,7 @@ def test_scalar_mood_and_clamp():
 
 def test_snapshot_covers_configuration_tuple():
     agent = build_agent(PATROL_SOURCE)
-    agent.NB.append(NormativeBelief.from_decl(parse_norm_literal(MASK_NORM_TEXT)))
+    agent.NB.append(NormativeBelief.from_decl(parse_norm(MASK_NORM_TEXT)))
     snap = snapshot(agent)
     assert snap["id"] == "a1"
     assert set(snap) == {"id", "ag", "C", "M", "T", "Mem", "Ta", "s", "ast", "cycle"}
@@ -161,8 +160,10 @@ def test_snapshot_covers_configuration_tuple():
     assert snap["ast"] == "Appr"
     assert snap["Ta"]["σ"] == [0.0, 0.0]
 
-    text = snapshot_text(agent)
-    assert json.loads(text) == json.loads(snapshot_text(agent)), "snapshot text is stable"
+    text = json.dumps(snapshot(agent), ensure_ascii=False, sort_keys=True)
+    assert json.loads(text) == json.loads(
+        json.dumps(snapshot(agent), ensure_ascii=False, sort_keys=True)
+    ), "snapshot text is stable"
 
 
 def test_memory_event_kinds_cover_feedback_and_own_acts():

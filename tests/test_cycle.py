@@ -36,9 +36,12 @@ from nea.cycle import (
     EnvironmentView,
     InterpreterFault,
     OBSERVER_CHANNEL,
+    QuietTick,
+    TraceEntry,
     _adopt_norm,
     check_invariants,
     context_holds,
+    expand,
     process_message,
     run_affective_cycle,
     run_decay,
@@ -50,13 +53,12 @@ from nea.lang import (
     StepKind,
     Sym,
     parse_literal_text,
-    parse_norm_literal,
     parse_plan_text,
 )
 from nea.norms import BREAK, COMPLY
 from nea.society import PerceptPulse, ScenarioConfig, Society
 
-from conftest import PATROL_SOURCE, build_agent
+from conftest import PATROL_SOURCE, build_agent, parse_norm
 
 MASK_NORM_MSG = (
     'norm("obligation", "np__enter_classroom : in_campus <- put_on(mask);'
@@ -267,7 +269,7 @@ def test_perceive_adopts_norm_percepts_inline():
     env = make_env(percepts={parse_literal_text(MASK_NORM_MSG)})
     entry = step(agent, env)
     assert len(agent.NB) == 1
-    assert agent.NB[0].id == norm_id(parse_norm_literal(MASK_NORM_MSG))
+    assert agent.NB[0].id == norm_id(parse_norm(MASK_NORM_MSG))
     assert len(agent.ps) == 4, "comply and break variants appended"
     assert "adopted" in entry.summary
 
@@ -508,7 +510,7 @@ def test_rebel_breaks_and_announces_break():
 def test_cross_norm_attribution_fires_for_other_norms():
     env = make_env()
     agent = build_agent("ready.\n\n+do_it : ready <- sing.", threshold=1.0)
-    ban = parse_norm_literal(
+    ban = parse_norm(
         'norm("prohibition", "np__party : ready <- sing.", 0, 30.0, "ALL", [0.2,0.1])'
     )
     _adopt_norm(agent, ban)
@@ -666,8 +668,8 @@ def test_decay_skips_norms_reinforced_this_tick():
 # quiet ticks: the shortcut must do and emit exactly what the walk does
 
 
-def _lines(entries) -> list[str]:
-    return [e.text() + "|" + json.dumps(e.payload, sort_keys=True) for e in entries]
+def _lines(items) -> list[str]:
+    return [e.text() + "|" + json.dumps(e.payload, sort_keys=True) for e in expand(items)]
 
 
 def _state(agent) -> tuple:
@@ -760,8 +762,8 @@ def test_quiet_tick_emits_fresh_entries_without_stepping(monkeypatch):
     agent = build_agent(PATROL_SOURCE)
     env = make_env()
     monkeypatch.setattr(nea.cycle, "step", None)  # a quiet tick must not call it
-    first, _ = tick(agent, env)
-    second, _ = tick(agent, env)
+    first = expand(tick(agent, env)[0])
+    second = expand(tick(agent, env)[0])
     assert [e.step for e in first[:11]] == [label.value for label in StepLabel]
     assert [e.summary for e in first[1:10]] == ["idle"] * 9
     assert agent.s is StepLabel.Perceive
@@ -769,6 +771,39 @@ def test_quiet_tick_emits_fresh_entries_without_stepping(monkeypatch):
         assert a.payload == b.payload
         assert a.payload is not b.payload
         assert all(x is not y for x, y in zip(a.payload.values(), b.payload.values()))
+
+
+#: Every step of an agent-tick, in order, when the walk takes no shortcut.
+TICK_STEPS = [label.value for label in StepLabel] + [label.value for label in AST_ORDER] + ["AsNrDecay"]
+
+
+def test_fully_quiet_tick_is_one_record(monkeypatch):
+    agent = build_agent(PATROL_SOURCE)
+    env = make_env(tick=3)
+    agent.Ta.sigma = (-0.25, 0.5)
+    monkeypatch.setattr(nea.cycle, "step", None)  # a fully quiet tick calls neither
+    monkeypatch.setattr(nea.cycle, "run_affective_cycle", None)
+    items, outbound = tick(agent, env)
+    assert [type(item) for item in items] == [QuietTick]
+    record = items[0]
+    assert (record.tick, record.agent, record.upas) == (3, "a1", "0 applied, sigma [-0.250,0.500]")
+    assert record.decay.step == "AsNrDecay" and record.decay.payload["sigma"] == list(agent.Ta.sigma)
+    assert [e.step for e in record.entries()] == TICK_STEPS
+    assert record.entries()[-1] is record.decay
+    assert outbound == [] and agent.cycle == 1
+    assert agent.s is StepLabel.Perceive and agent.ast is AffectiveStepLabel.Appr
+
+
+def test_half_quiet_tick_emits_sixteen_entries(monkeypatch):
+    agent = build_agent(PATROL_SOURCE)
+    env = make_env(n_agents=1)
+    agent.Mem.append(MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.4, 0.2)))
+    assert nea.cycle._quiet(agent, env) and not nea.cycle._quiet_affect(agent, env)
+    monkeypatch.setattr(nea.cycle, "step", None)  # the walk is still skipped
+    entries, _ = tick(agent, env)
+    assert all(type(e) is TraceEntry for e in entries)
+    assert [e.step for e in entries] == TICK_STEPS
+    assert [e.summary for e in entries[11:13]] == ["1/1 appraised", "1 applied, sigma [0.400,0.200]"]
 
 
 #: Breaches that leave the agent quiet, and two that make it walk; either
@@ -803,7 +838,7 @@ def test_memory_appended_between_ticks_is_appraised_once():
     env = make_env(n_agents=1, decay_affect=0.0)
 
     def appraisal_summary() -> str:
-        entries, _ = tick(agent, env)
+        entries = expand(tick(agent, env)[0])
         return next(e.summary for e in entries if e.step == "Appr")
 
     assert appraisal_summary() == "0/0 appraised"
@@ -936,7 +971,7 @@ def _flip_condition_literal(agent, env, record):
 
 
 def _adopt_a_norm(agent, env, record):
-    assert _adopt_norm(agent, parse_norm_literal(EXIT_NORM_MSG)) is not None
+    assert _adopt_norm(agent, parse_norm(EXIT_NORM_MSG)) is not None
 
 
 def _accumulate_more(agent, env, record):

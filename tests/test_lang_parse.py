@@ -16,12 +16,11 @@ from nea.lang import (
     TriggerType,
     parse_agent_program,
     parse_literal_text,
-    parse_norm_literal,
     parse_plan_text,
 )
 from nea.lang.tokens import TokenType, tokenize
 
-from conftest import CORPUS_DIR, MASK_NORM_TEXT
+from conftest import CORPUS_DIR, MASK_NORM_TEXT, parse_norm
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +50,13 @@ def test_illegal_character_position():
         tokenize("@€")
     assert err.value.col == 2
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("text", ["µ(²", "a(1²).", "c(-²)."])
+def test_digits_float_cannot_read_are_lex_errors(text):
+    # superscripts are str.isdigit() but not decimal digits
+    with pytest.raises(LexError, match="unexpected character"):
+        parse_agent_program(text)
 
 
 def test_tokens_carry_positions():
@@ -122,7 +128,7 @@ def test_conformist_professor_program():
 
 
 def test_mask_obligation_literal_structure():
-    decl = parse_norm_literal(MASK_NORM_TEXT)
+    decl = parse_norm(MASK_NORM_TEXT)
     assert decl.deontic == "obligation"
     assert decl.limit == 0
     assert decl.relevance == 50.0
@@ -217,47 +223,47 @@ def test_personality_levels_range_checked():
 
 def test_not_a_norm_for_plain_belief():
     with pytest.raises(NotANorm):
-        parse_norm_literal("in_campus")
+        parse_norm("in_campus")
 
 
 def test_unknown_deontic_operator_rejected():
     with pytest.raises(ParseError, match="deontic"):
-        parse_norm_literal('norm("permission", "np__x:c", 0, 1, "ALL", [0.0,0.0])')
+        parse_norm('norm("permission", "np__x:c", 0, 1, "ALL", [0.0,0.0])')
 
 
 def test_norm_arity_checked():
     with pytest.raises(ParseError, match="6 arguments"):
-        parse_norm_literal('norm("obligation", "np__x:c", 0, 1, "ALL")')
+        parse_norm('norm("obligation", "np__x:c", 0, 1, "ALL")')
 
 
 def test_pre_appraisal_range_checked():
     with pytest.raises(SemanticError):
-        parse_norm_literal('norm("obligation", "np__x:c", 0, 1, "ALL", [1.5,0.0])')
+        parse_norm('norm("obligation", "np__x:c", 0, 1, "ALL", [1.5,0.0])')
 
 
 def test_embedded_plan_errors_become_semantic():
     with pytest.raises(SemanticError, match="embedded"):
-        parse_norm_literal('norm("obligation", "np__x:<-", 0, 1, "ALL", [0.0,0.0])')
+        parse_norm('norm("obligation", "np__x:<-", 0, 1, "ALL", [0.0,0.0])')
 
 
 def test_np_marker_required_in_norm_plans():
     with pytest.raises(SemanticError, match="np__"):
-        parse_norm_literal('norm("obligation", "+x:c <- +y.", 0, 1, "ALL", [0.0,0.0])')
+        parse_norm('norm("obligation", "+x:c <- +y.", 0, 1, "ALL", [0.0,0.0])')
 
 
 def test_norm_roles_list_parses():
-    decl = parse_norm_literal('norm("obligation", "np__x:c", 0, 1, ["a","b"], [0.0,0.0])')
+    decl = parse_norm('norm("obligation", "np__x:c", 0, 1, ["a","b"], [0.0,0.0])')
     assert decl.roles == ("a", "b")
 
 
 def test_negative_relevance_rejected():
     with pytest.raises(SemanticError):
-        parse_norm_literal('norm("obligation", "np__x:c", 0, -1, "ALL", [0.0,0.0])')
+        parse_norm('norm("obligation", "np__x:c", 0, -1, "ALL", [0.0,0.0])')
 
 
 def test_fractional_limit_rejected():
     with pytest.raises(SemanticError):
-        parse_norm_literal('norm("obligation", "np__x:c", 2.5, 1, "ALL", [0.0,0.0])')
+        parse_norm('norm("obligation", "np__x:c", 2.5, 1, "ALL", [0.0,0.0])')
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nea.core import MemKind, MemoryEvent, NormativeBelief
-from nea.lang import AFFECT_FUNCTOR, Literal, StepKind, parse_norm_literal
+from nea.lang import AFFECT_FUNCTOR, Literal, StepKind
 from nea.norms import (
     BREAK,
     COMPLY,
@@ -31,6 +31,8 @@ from nea.norms import (
     select_intention,
 )
 
+from conftest import parse_norm
+
 
 def make_norm(
     deontic: str = "obligation",
@@ -44,7 +46,7 @@ def make_norm(
         f'norm("{deontic}", "np__{trigger}:not done <- {action}; +done.",'
         f' {limit}, {relevance}, "ALL", [{pa[0]},{pa[1]}])'
     )
-    return NormativeBelief.from_decl(parse_norm_literal(text))
+    return NormativeBelief.from_decl(parse_norm(text))
 
 
 # ----------------------------------------------------------------------

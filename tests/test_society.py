@@ -25,8 +25,11 @@ from nea.society import (
     society_mood,
     write_trace_meta,
     write_trace_structured,
+    write_trace_text,
 )
-from nea.cycle import OBSERVER_CHANNEL, InterpreterFault, TraceEntry
+from nea.cycle import OBSERVER_CHANNEL, EnvironmentView, InterpreterFault, QuietTick, TraceEntry, expand
+
+from conftest import PATROL_SOURCE, build_agent
 
 MINI = {
     "name": "mini",
@@ -456,7 +459,7 @@ def test_percept_pulses_reach_only_their_targets():
     all_entries = []
     for t in range(6):
         entries, _ = society.run_tick(t)
-        all_entries.extend(entries)
+        all_entries.extend(expand(entries))
     perceive_adds = {
         e.agent
         for e in all_entries
@@ -556,6 +559,30 @@ def test_structured_trace_carries_meta_header(tmp_path):
     assert set(first) == {"tick", "agent", "step", "summary", "payload"}
 
 
+def rendered(write, items) -> str:
+    out = io.StringIO()
+    write(items, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "agent_id",
+    ['p "é"\t{x}', "0 applied, sigma [0.000,0.000]", "a1"],
+    ids=["quoted", "upas-text", "plain"],
+)
+def test_quiet_tick_renders_as_its_entries(agent_id):
+    """Each writer renders a ``QuietTick`` from its per-agent template byte
+    for byte as it renders the record's sixteen entries."""
+    for t in (0, 9, 10, 1234):
+        agent = build_agent(PATROL_SOURCE, agent_id=agent_id)
+        agent.Ta.sigma = (-0.25, 0.5)
+        items, _ = nea.society.agent_tick(agent, EnvironmentView(tick=t))
+        assert [type(item) for item in items] == [QuietTick]
+        busy = TraceEntry(t, agent_id, "ProcMsg", "tell x from y", {"mid": 3})
+        for write in (write_trace_text, write_trace_structured):
+            assert rendered(write, [busy, *items, busy]) == rendered(write, [busy, *items[0].entries(), busy])
+
+
 #: the ``_json`` accelerator's ``c_make_encoder``, and None as where it is missing
 ENCODER_PATHS = (json.encoder.c_make_encoder, None)
 
@@ -607,7 +634,7 @@ def test_failed_payload_leaves_the_encoder_usable(monkeypatch):
 
 def test_run_streams_each_tick_to_the_sink():
     batches: list[tuple[list, list]] = []
-    result = Society(mask_config()).run(ticks=3, sink=lambda entries, rows: batches.append((entries, rows)))
+    result = Society(mask_config()).run(ticks=3, sink=lambda entries, rows: batches.append((expand(entries), rows)))
     assert result.trace == [] and result.metrics == []
     assert [{e.tick for e in entries} for entries, _ in batches] == [{0}, {1}, {2}]
     assert [{row[0] for row in rows} for _, rows in batches] == [{0}, {1}, {2}]
