@@ -7,7 +7,8 @@ Subcommands:
 * ``sweep``  — tabulate the comply/break utilities over a parameter grid.
 
 Exit codes: 0 success; 1 a run died on an interpreter fault; 2 bad usage,
-unparseable input, or a malformed scenario.
+unreadable or unparseable input, a malformed scenario, or an unwritable
+``--out``.
 
 The run seed is resolved in order: --seed flag, NEA_SEED environment
 variable, the scenario file's seed, 0.
@@ -143,8 +144,8 @@ def cmd_check(args) -> int:
     path = Path(args.file)
     try:
         source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"nea check: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in the name
+        print(f"nea check: {path}: {exc}", file=sys.stderr)
         return 2
     try:
         program = parse_agent_program(source)
@@ -222,6 +223,9 @@ def cmd_run(args) -> int:
         where = "" if exc.tick is None else f" (tick {exc.tick})"
         print(f"nea run: interpreter fault: {exc}{where}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an unwritable --out
+        print(f"nea run: {exc}", file=sys.stderr)
+        return 2
 
     print(
         f"{config.name}: {ticks} ticks, {len(society.roster)} agents, seed {seed} "
@@ -276,8 +280,12 @@ def cmd_sweep(args) -> int:
     if args.out is None:
         write_rows(sys.stdout)
     else:
-        with _atomic_file(Path(args.out)) as fh:
-            write_rows(fh)
+        try:
+            with _atomic_file(Path(args.out)) as fh:
+                write_rows(fh)
+        except OSError as exc:  # an unwritable --out
+            print(f"nea sweep: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -11,50 +11,41 @@ a successor allowed by ``EDGES``:
 * ``ExecInt`` jumps to ``AffModB`` after any appraisal-producing step, so the
   emotion lands in memory within the same tick.
 
-Most agents of a society have nothing to reason about on most ticks.  An
-agent is *quiet* when this tick's percepts equal its percept-sourced beliefs
-and ``M.In``, ``C.E``, ``C.I`` and ``Ta.Ub`` are all empty.  Its walk would
-then change nothing but ``T``, which Perceive resets, and would emit
-``Perceive`` "+0/-0 percepts", nine ``idle`` entries and ``AffModB``
-"+0/-0 beliefs".  ``tick`` resets ``T`` and emits those eleven entries
-without calling ``step``.  The invariant checks read sigma, norm relevance,
-plan norm ids, ``C.I``, ``T.R``/``T.Ap``, ``M.In`` and ``Mem``, none of which
-an idle step changes, so the one ``check_invariants`` after the reset (named
-``Perceive``, as the walk's first check is) raises exactly when the walk's
-eleven would.  Busy agents walk the step machine.
-
 The affective pass (``run_affective_cycle``) appraises fresh memory, folds
 unapplied responses into the affective state, revises plans punished by
 social feedback, and queues coping actions.  ``run_decay`` then pulls the
 affective state toward neutral and erodes the relevance of unreinforced
 norms.  ``tick`` strings the three passes together.
 
-The affective pass has a quiet path too.  A feedback record is *settled*
-once ``detect_social_norm`` flagged no plan for it that revision would
-change, and nothing that call read has changed since: the believed
-condition literals (the record's present condition texts that the belief
-base holds), the plan library (``AgentConfig.plan_version``, bumped by norm
-adoption and by each plan revision), the record's accumulated pair and the
-deviation threshold.  A flagged plan that ``revise_plan`` returns unchanged
-(no avoid literal holds before the step that completes the condition) is
-not a revision: SelCs writes no plan, leaves ``plan_version`` alone and
-reports nothing for it.  Detection would find nothing new again, so the
-full pass skips settled records.  An agent with no ``Mem`` entry past
-``mem_cursor``, no coping strategy matching sigma and every record settled
-would appraise, apply, revise and queue nothing; ``run_affective_cycle``
-emits its four entries (``Appr`` "0/0 appraised", ``UpAs`` "0 applied,
-sigma [...]", ``SelCs`` "0 coping", ``Cope`` "0 coping intentions") and
-empties ``Ta.Cs``, as the full pass would.
+A feedback record is *settled* once ``detect_social_norm`` flagged no plan
+for it that revision would change, and nothing that call read has changed
+since: the believed condition literals (the record's present condition
+texts that the belief base holds), the plan library
+(``AgentConfig.plan_version``, bumped by norm adoption and by each plan
+revision), the record's accumulated pair and the deviation threshold.  A
+flagged plan that ``revise_plan`` returns unchanged (no avoid literal holds
+before the step that completes the condition) is not a revision: SelCs
+writes no plan, leaves ``plan_version`` alone and reports nothing for it.
+Detection would find nothing new again, so the affective pass skips
+settled records.
 
-An agent-tick that takes both quiet paths emits fifteen entries that differ
-from one agent-tick to the next only in tick, agent and the UpAs sigma text,
-then its decay entry.  ``tick`` returns such an agent-tick as one record,
-``QuietTick(tick, agent, upas, decay)``, instead of the sixteen entries: the
-trace writers render it from a template built once per agent, and
-``QuietTick.entries`` (or ``expand`` over a list of entries and records)
-gives back the entries it stands for.  The fifteen are written down once,
-in ``_QUIET_ROWS``, from which the quiet walk, the quiet affective pass and
-the record all build.
+Most agents of a society have nothing to do on most ticks.  An agent is
+*quiet* when ``M.In``, ``C.E``, ``C.I`` and ``Ta.Ub`` are empty, no ``Mem``
+entry lies past ``mem_cursor``, this tick's percepts equal its
+percept-sourced beliefs, no coping strategy matches sigma and every
+feedback record is settled.  Its three passes would change nothing but
+``T`` (which Perceive resets), ``Ta.Cs`` (emptied by SelCs), ``ast`` and the
+decay, and would emit the fifteen entries of ``_QUIET_ROWS`` (nine of them
+``idle``; only the UpAs sigma text varies), then the decay entry.  ``tick``
+does just that and returns the agent-tick as one record,
+``QuietTick(tick, agent, upas, decay)``: the trace writers render it from a
+template built once per agent, and ``QuietTick.entries`` (or ``expand``
+over a list of entries and records) gives back the sixteen entries.  The
+invariant checks read sigma, norm relevance, plan norm ids, ``C.I``,
+``T.R``/``T.Ap``, ``M.In`` and ``Mem``, none of which an idle step changes,
+so the one ``check_invariants`` after the reset (named ``Perceive``, as the
+walk's first check is) raises exactly when the walk's eleven would.  Every
+other agent walks the step machine and runs the full affective pass.
 """
 
 from __future__ import annotations
@@ -218,7 +209,7 @@ class TraceEntry:
 
 
 def _entry(agent: AgentConfig, env: EnvironmentView, step_name: str, summary: str, **payload) -> TraceEntry:
-    return TraceEntry(tick=env.tick, agent=agent.id, step=step_name, summary=summary, payload=payload)
+    return TraceEntry(env.tick, agent.id, step_name, summary, payload)  # positional: cheaper per entry
 
 
 # ----------------------------------------------------------------------
@@ -645,18 +636,10 @@ def _walk(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
     return entries
 
 
-def _quiet(agent: AgentConfig, env: EnvironmentView) -> bool:
-    """Nothing to perceive, read, select, execute or sync this tick."""
-    return (
-        not (agent.M.In or agent.C.E or agent.C.I or agent.Ta.Ub)
-        and env.percepts == agent.percept_literals()
-    )
-
-
-#: The fifteen entries a fully quiet agent-tick emits before its decay
-#: entry, as (step, summary, payload keys): the quiet walk's eleven (nine of
-#: them idle), then the quiet affective pass's four.  Each payload key holds
-#: a fresh empty list; the UpAs summary (None here) reports sigma.
+#: The fifteen entries a quiet agent-tick emits before its decay entry, as
+#: (step, summary, payload keys): the walk's eleven (nine of them idle),
+#: then the affective pass's four.  Each payload key holds a fresh empty
+#: list; the UpAs summary (None here) reports sigma.
 _QUIET_ROWS = (
     ("Perceive", "+0/-0 percepts", ("new", "removed", "adopted")),
     *((label.value, "idle", ()) for label in tuple(StepLabel)[1:-1]),
@@ -666,14 +649,6 @@ _QUIET_ROWS = (
     ("SelCs", "0 coping", ("revised",)),
     ("Cope", "0 coping intentions", ()),
 )
-_QUIET_WALK, _QUIET_AFFECT = _QUIET_ROWS[: len(StepLabel)], _QUIET_ROWS[len(StepLabel) :]
-
-
-def _quiet_entries(t: int, aid: str, rows: tuple, upas: str | None = None) -> list[TraceEntry]:
-    return [
-        TraceEntry(t, aid, step, upas if summary is None else summary, {key: [] for key in keys})
-        for step, summary, keys in rows
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -692,42 +667,16 @@ def _feedback_stamp(agent: AgentConfig, record, texts: frozenset, env: Environme
     )
 
 
-def _quiet_affect(agent: AgentConfig, env: EnvironmentView) -> bool:
-    """No fresh memory, no coping strategy selected, every feedback record
-    settled."""
-    if agent.mem_cursor != len(agent.Mem):
-        return False
-    if agent.P.coping and select_coping(agent.P.coping, agent.Ta.sigma):
-        return False
-    if agent.feedback:
-        texts = agent.belief_text_set()
-        for record in agent.feedback.values():
-            if record.settled != _feedback_stamp(agent, record, texts, env):
-                return False
-    return True
-
-
 def _upas_summary(applied: int, sig: AffectPair) -> str:
     return f"{applied} applied, sigma [{sig[0]:.3f},{sig[1]:.3f}]"
-
-
-def _quiet_affect_state(agent: AgentConfig) -> str:
-    """What the full affective pass does to a quiet agent; returns the UpAs
-    summary it would emit."""
-    agent.Ta.Cs = []
-    agent.ast = AffectiveStepLabel.Appr
-    return _upas_summary(0, agent.Ta.sigma)
 
 
 def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
     """Appr -> UpAs -> SelCs -> Cope over memory entries not yet appraised.
 
     ``Mem`` is append-only and every entry of a batch is marked appraised,
-    so the batch is read from ``agent.mem_cursor`` on.  A quiet agent (see
-    the module docstring) takes the shortcut.
+    so the batch is read from ``agent.mem_cursor`` on.
     """
-    if _quiet_affect(agent, env):
-        return _quiet_entries(env.tick, agent.id, _QUIET_AFFECT, _quiet_affect_state(agent))
     entries: list[TraceEntry] = []
     start = agent.mem_cursor
     agent.mem_cursor = len(agent.Mem)
@@ -822,11 +771,27 @@ def _condition_text(condition: frozenset) -> str:
 # one full tick
 
 
+def _quiet(agent: AgentConfig, env: EnvironmentView) -> bool:
+    """Nothing to perceive, read, execute, sync, appraise, revise or cope
+    with this tick (see the module docstring); cheapest checks first."""
+    if agent.M.In or agent.C.E or agent.C.I or agent.Ta.Ub or agent.mem_cursor != len(agent.Mem):
+        return False
+    if env.percepts != agent.percept_literals():
+        return False
+    if agent.P.coping and select_coping(agent.P.coping, agent.Ta.sigma):
+        return False
+    if agent.feedback:
+        texts = agent.belief_text_set()
+        for record in agent.feedback.values():
+            if record.settled != _feedback_stamp(agent, record, texts, env):
+                return False
+    return True
+
+
 @dataclass(slots=True)
 class QuietTick:
-    """An agent-tick that took both quiet paths, in place of its sixteen
-    entries: the fifteen of ``_QUIET_ROWS`` (*upas* is the UpAs summary)
-    and the *decay* entry."""
+    """A quiet agent-tick, in place of its sixteen entries: the fifteen of
+    ``_QUIET_ROWS`` (*upas* is the UpAs summary) and the *decay* entry."""
 
     tick: int
     agent: str
@@ -835,7 +800,12 @@ class QuietTick:
 
     def entries(self) -> list[TraceEntry]:
         """The sixteen entries this record stands for, with fresh payloads."""
-        entries = _quiet_entries(self.tick, self.agent, _QUIET_ROWS, self.upas)
+        entries = [
+            TraceEntry(
+                self.tick, self.agent, step, self.upas if summary is None else summary, {key: [] for key in keys}
+            )
+            for step, summary, keys in _QUIET_ROWS
+        ]
         entries.append(self.decay)
         return entries
 
@@ -854,24 +824,24 @@ def expand(items: list[TraceEntry | QuietTick]) -> list[TraceEntry]:
 def tick(agent: AgentConfig, env: EnvironmentView) -> tuple[list[TraceEntry | QuietTick], list[Message]]:
     """Run one complete reasoning tick; returns (trace items, outbound).
 
-    The normative pass starts at Perceive and runs until AffModB completes
-    (a quiet agent takes the shortcut described in the module docstring);
+    The normative pass starts at Perceive and runs until AffModB completes;
     the affective pass and the decay step follow.  The trace items are the
-    tick's entries, or one ``QuietTick`` when both quiet paths are taken
-    (``expand`` turns either into entries).  Outbound messages are drained
-    from the mailbox for the harness to deliver.
+    tick's entries, or one ``QuietTick`` for a quiet agent, which skips
+    the passes (see the module docstring; ``expand`` turns either into
+    entries).  Outbound messages are drained from the mailbox for the
+    harness to deliver.
     """
     if agent.s is not StepLabel.Perceive:
         raise InterpreterFault(agent.id, agent.s.value, "tick must start at Perceive")
-    quiet = _quiet(agent, env)
-    if quiet:  # what the walk does to a quiet agent, without the walk
+    if _quiet(agent, env):  # what the three passes do to a quiet agent
         agent.T.reset()
         check_invariants(agent, StepLabel.Perceive)
-    if quiet and _quiet_affect(agent, env):
-        upas = _quiet_affect_state(agent)
+        agent.Ta.Cs = []
+        agent.ast = AffectiveStepLabel.Appr
+        upas = _upas_summary(0, agent.Ta.sigma)
         items: list = [QuietTick(env.tick, agent.id, upas, run_decay(agent, env))]
     else:
-        items = _quiet_entries(env.tick, agent.id, _QUIET_WALK) if quiet else _walk(agent, env)
+        items = _walk(agent, env)
         items.extend(run_affective_cycle(agent, env))
         items.append(run_decay(agent, env))
     agent.cycle += 1

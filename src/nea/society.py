@@ -45,7 +45,14 @@ from .cycle import (
     expand,
     tick as agent_tick,
 )
-from .lang import LangError, Literal, parse_agent_program, parse_literal_text, render_literal
+from .lang import (
+    LangError,
+    Literal,
+    norm_from_literal,
+    parse_agent_program,
+    parse_literal_text,
+    render_literal,
+)
 
 #: Broadcast pseudo-recipient: everyone except the sender.
 BROADCAST = "ALL"
@@ -230,6 +237,8 @@ class ScenarioConfig:
                 raise ScenarioError(f"scenario '{key}.literal' must be a string, got {text!r}")
             try:
                 lit = parse_literal_text(text)
+                if lit.functor == "norm":  # Perceive adopts it: it must be a norm
+                    norm_from_literal(lit)
             except LangError as exc:
                 raise ScenarioError(f"scenario '{key}.literal' {text!r}: {exc}") from exc
             if "at" in p:
@@ -285,8 +294,11 @@ class ScenarioConfig:
         def param(name, default):
             return _number(params.get(name, default), f"params.{name}")
 
+        name = raw.get("name", "scenario")
+        if not isinstance(name, str):
+            raise ScenarioError(f"scenario 'name' must be a string, got {name!r}")
         return cls(
-            name=str(raw.get("name", "scenario")),
+            name=name,
             ticks=_ticks(need("ticks", object), "ticks"),
             seed=_integer(raw.get("seed", 0), "seed"),
             agents=agents,
@@ -484,8 +496,8 @@ class Society:
     # `_unused` only keeps the positional slot that bench/child.py's wrapper passes
     def run_tick(self, t: int, _unused=None) -> tuple[list[TraceItem], list[MetricsRow]]:
         """Run tick *t*; returns its trace items (entries, and one
-        ``QuietTick`` per agent-tick that took both quiet paths) and its
-        metrics rows, as a ``Sink`` receives them."""
+        ``QuietTick`` per quiet agent-tick) and its metrics rows, as a
+        ``Sink`` receives them."""
         # 1. deliver last tick's mail; same-tick batches arrive in an order
         #    drawn from the run seed
         for aid in self.roster:

@@ -55,6 +55,14 @@ def test_check_missing_file_exits_2(tmp_path, capsys):
     assert "check" in capsys.readouterr().err
 
 
+def test_check_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.nea"
+    bad.write_bytes("caf\u00e9.\n".encode("latin-1"))
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"nea check: {bad}: ") and "utf-8" in err and "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # run
 
@@ -261,6 +269,9 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
         (lambda spec: ["--ticks", "-5"], "--ticks"),
         (lambda spec: ["--decay-affect", "nan"], "--decay-affect"),
         (lambda spec: ["--relevance-threshold", "inf"], "--relevance-threshold"),
+        # Perceive would adopt it: a norm(...) percept must be a well-formed norm
+        (lambda spec: spec["percepts"][1].update(literal='norm("obligation", "x")'), "percepts[1].literal"),
+        (lambda spec: spec.update(name=5), "name"),
     ],
 )
 def test_run_malformed_field_exits_2(tmp_path, capsys, edit, key):
@@ -383,6 +394,24 @@ def test_sweep_non_finite_flag_exits_2(capsys, flag, value):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and flag in captured.err and "Traceback" not in captured.err
+
+
+def test_run_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n", encoding="utf-8")
+    assert main(["run", "mask", "--ticks", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nea run: ") and "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_sweep_out_under_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "taken").write_text("keep\n", encoding="utf-8")
+    assert main(["sweep", "--reb", "0.5", "--out", str(tmp_path / "taken" / "grid.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("nea sweep: ") and "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_outputs_follow_the_umask(tmp_path):

@@ -54,6 +54,7 @@ from nea.lang import (
     Sym,
     parse_literal_text,
     parse_plan_text,
+    render_trigger,
 )
 from nea.norms import BREAK, COMPLY
 from nea.society import PerceptPulse, ScenarioConfig, Society
@@ -206,6 +207,7 @@ def _memory_out_of_order(agent, env):
         MemoryEvent(tick=5, kind=MemKind.SELF_APPRAISAL, pair=(0.1, 0.1)),
         MemoryEvent(tick=4, kind=MemKind.SELF_APPRAISAL, pair=(0.1, 0.1)),
     ]
+    agent.mem_cursor = len(agent.Mem)  # already appraised: the agent stays quiet
 
 
 #: One breach per invariant of ``check_invariants``, with its fault reason.
@@ -678,11 +680,10 @@ def _state(agent) -> tuple:
 
 
 def full_passes(forced) -> None:
-    """Turn both quiet shortcuts off, and never let a feedback record count
-    as settled, so every tick walks the step machine and runs the full
+    """Turn the quiet shortcut off, and never let a feedback record count as
+    settled, so every tick walks the step machine and runs the full
     affective pass with every detection."""
     forced.setattr(nea.cycle, "_quiet", lambda agent, env: False)
-    forced.setattr(nea.cycle, "_quiet_affect", lambda agent, env: False)
     forced.setattr(nea.cycle, "_feedback_stamp", lambda *args: object())
 
 
@@ -690,31 +691,25 @@ def check_against_full_passes(mp) -> Counter:
     """Make the society tick a deep copy of each agent beside it with
     ``full_passes`` and no cached belief texts; every agent-tick must emit
     the same entries and outbound mail and leave the same state.  The
-    counter gets the agent-ticks ("ticks") and how many took each quiet
-    path ("walk", "affect")."""
-    real_tick, real_quiet_affect = nea.cycle.tick, nea.cycle._quiet_affect
+    counter gets the agent-ticks ("ticks") and how many took the quiet
+    shortcut ("quiet")."""
+    real_tick = nea.cycle.tick
     quiet = Counter()
-
-    def counted_quiet_affect(agent, env):
-        taken = real_quiet_affect(agent, env)
-        quiet["affect"] += taken
-        return taken
 
     def checked_tick(agent, env):
         reference = copy.deepcopy(agent)
         reference._texts = None  # the reference rebuilds the belief-text cache
-        quiet["ticks"] += 1
-        quiet["walk"] += nea.cycle._quiet(agent, env)
         with pytest.MonkeyPatch.context() as forced:
             full_passes(forced)
             want_entries, want_out = real_tick(reference, env)
         entries, outbound = real_tick(agent, env)
+        quiet["ticks"] += 1
+        quiet["quiet"] += isinstance(entries[0], QuietTick)
         assert _lines(entries) == _lines(want_entries)
         assert outbound == want_out
         assert _state(agent) == _state(reference)
         return entries, outbound
 
-    mp.setattr(nea.cycle, "_quiet_affect", counted_quiet_affect)
     mp.setattr(nea.society, "agent_tick", checked_tick)
     return quiet
 
@@ -754,8 +749,7 @@ def test_quiet_ticks_equal_the_full_walk(monkeypatch, config, ticks):
     society = Society(config(), seed=7)
     quiet = run_against_full_walk(society, ticks, monkeypatch)
     assert quiet["ticks"] == ticks * len(society.roster)
-    for path in ("walk", "affect"):
-        assert quiet["ticks"] > quiet[path] > quiet["ticks"] / 2, f"both {path} paths are exercised"
+    assert quiet["ticks"] > quiet["quiet"] > quiet["ticks"] / 2, "both the shortcut and the passes are exercised"
 
 
 def test_quiet_tick_emits_fresh_entries_without_stepping(monkeypatch):
@@ -781,6 +775,7 @@ def test_fully_quiet_tick_is_one_record(monkeypatch):
     agent = build_agent(PATROL_SOURCE)
     env = make_env(tick=3)
     agent.Ta.sigma = (-0.25, 0.5)
+    agent.Ta.Cs, agent.ast = ["stale"], AffectiveStepLabel.Cope  # as the full pass would, the tick resets both
     monkeypatch.setattr(nea.cycle, "step", None)  # a fully quiet tick calls neither
     monkeypatch.setattr(nea.cycle, "run_affective_cycle", None)
     items, outbound = tick(agent, env)
@@ -790,7 +785,7 @@ def test_fully_quiet_tick_is_one_record(monkeypatch):
     assert record.decay.step == "AsNrDecay" and record.decay.payload["sigma"] == list(agent.Ta.sigma)
     assert [e.step for e in record.entries()] == TICK_STEPS
     assert record.entries()[-1] is record.decay
-    assert outbound == [] and agent.cycle == 1
+    assert outbound == [] and agent.cycle == 1 and agent.Ta.Cs == []
     assert agent.s is StepLabel.Perceive and agent.ast is AffectiveStepLabel.Appr
 
 
@@ -798,8 +793,7 @@ def test_half_quiet_tick_emits_sixteen_entries(monkeypatch):
     agent = build_agent(PATROL_SOURCE)
     env = make_env(n_agents=1)
     agent.Mem.append(MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.4, 0.2)))
-    assert nea.cycle._quiet(agent, env) and not nea.cycle._quiet_affect(agent, env)
-    monkeypatch.setattr(nea.cycle, "step", None)  # the walk is still skipped
+    assert not nea.cycle._quiet(agent, env)  # fresh memory alone: the agent walks
     entries, _ = tick(agent, env)
     assert all(type(e) is TraceEntry for e in entries)
     assert [e.step for e in entries] == TICK_STEPS
@@ -862,7 +856,7 @@ def test_pending_belief_update_makes_the_agent_walk():
 
 
 # ----------------------------------------------------------------------
-# quiet affective pass: settled feedback records
+# settled feedback records
 
 
 #: Literals the mask programs believe, act on or are judged by.
@@ -930,6 +924,7 @@ def settled_patrol():
     tick(agent, env)
     record = agent.feedback[MASKED_CAMPUS]
     assert record.settled is not None
+    assert nea.cycle._quiet(agent, env)
     return agent, env, record
 
 
@@ -949,7 +944,6 @@ def detections(monkeypatch) -> list:
 def test_settled_agent_takes_the_quiet_affective_pass(monkeypatch):
     agent, env, _ = settled_patrol()
     calls = detections(monkeypatch)
-    monkeypatch.setattr(nea.cycle, "cope", None)  # the quiet pass must not call it
     agent.Ta.sigma = (0.25, -0.5)
     agent.Ta.Cs = ["stale"]
     first = run_affective_cycle(agent, env)
@@ -991,7 +985,7 @@ def test_record_unsettles_when_what_detection_reads_changes(monkeypatch, change)
     agent, env, record = settled_patrol()
     calls = detections(monkeypatch)
     change(agent, env, record)
-    assert not nea.cycle._quiet_affect(agent, env)
+    assert not nea.cycle._quiet(agent, env)
     run_affective_cycle(agent, env)
     assert calls == [record], "detection runs once more"
     run_affective_cycle(agent, env)
@@ -1003,7 +997,8 @@ def test_belief_outside_the_condition_keeps_the_record_settled(monkeypatch):
     calls = detections(monkeypatch)
     agent.add_belief(Literal("raining"), SOURCE_SELF)
     agent.add_belief(Literal("in_campus"), SOURCE_PERCEPT)  # a second source: still believed
-    assert nea.cycle._quiet_affect(agent, env)
+    env.percepts = {Literal("in_campus")}  # and still perceived, so the walk stays quiet
+    assert nea.cycle._quiet(agent, env)
     run_affective_cycle(agent, env)
     assert calls == []
 
@@ -1011,15 +1006,33 @@ def test_belief_outside_the_condition_keeps_the_record_settled(monkeypatch):
 def test_fresh_memory_or_selected_coping_takes_the_full_pass():
     agent, env, _ = settled_patrol()
     agent.Mem.append(MemoryEvent(tick=env.tick, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.0, 0.0)))
-    assert not nea.cycle._quiet_affect(agent, env)
+    assert not nea.cycle._quiet(agent, env)
     run_affective_cycle(agent, env)
-    assert nea.cycle._quiet_affect(agent, env)
+    assert nea.cycle._quiet(agent, env)
     gloomy = build_agent(
         "personality__: { [0.5,0.5,0.5,0.5,0.5], 0.9, [cope([-1.0,-0.2],[-1.0,1.0],[rest])], 0.0 }."
     )
-    assert nea.cycle._quiet_affect(gloomy, env)
+    assert nea.cycle._quiet(gloomy, env)
     gloomy.Ta.sigma = (-0.5, 0.0)
-    assert not nea.cycle._quiet_affect(gloomy, env)
+    assert not nea.cycle._quiet(gloomy, env)
+
+
+def test_selected_coping_alone_walks_and_equals_the_full_passes(monkeypatch):
+    gloomy = build_agent(
+        "personality__: { [0.5,0.5,0.5,0.5,0.5], 0.9, [cope([-1.0,-0.2],[-1.0,1.0],[rest])], 0.0 }."
+    )
+    gloomy.Ta.sigma = (-0.5, 0.0)
+    env = make_env(n_agents=1, decay_affect=0.0)
+    assert not nea.cycle._quiet(gloomy, env)  # its only work is the coping strategy
+    quiet = check_against_full_passes(monkeypatch)
+    entries, _ = nea.society.agent_tick(gloomy, env)
+    assert [e.step for e in entries] == TICK_STEPS
+    assert entries[14].summary == "1 coping intentions"
+    assert [render_trigger(i.top().plan.trigger) for i in gloomy.C.I] == ["+!cope"]
+    env.tick += 1
+    entries, _ = nea.society.agent_tick(gloomy, env)  # runs it; none pending is queued twice
+    assert entries[8].summary == "rest"
+    assert (quiet["ticks"], quiet["quiet"]) == (2, 0)
 
 
 def test_revision_that_changes_nothing_settles_the_record(monkeypatch):
@@ -1035,6 +1048,6 @@ def test_revision_that_changes_nothing_settles_the_record(monkeypatch):
     selcs = next(e for e in first if e.step == "SelCs")
     assert (selcs.summary, selcs.payload) == ("0 coping", {"revised": []})
     assert agent.ps == plans and agent.plan_version == version
-    assert nea.cycle._quiet_affect(agent, env)
+    assert nea.cycle._quiet(agent, env)
     run_affective_cycle(agent, env)
     assert calls == [record]

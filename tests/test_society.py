@@ -141,6 +141,11 @@ def test_scenario_loads_builtin():
         ({"agents": [{"id": "a", "program": "missing.nea"}]}, "'agents\\[0\\].program': .*missing.nea"),
         ({"agents": [{"id": "a", "program": "bad\0.nea"}]}, "'agents\\[0\\].program': "),
         ({"agents": [{"id": "ALL", "program": "x.\n"}]}, "'agents\\[0\\].id' 'ALL' names every agent"),
+        (
+            {"percepts": [{"agents": ["a"], "literal": 'norm("obligation", 1)', "at": 1}]},
+            "'percepts\\[0\\].literal' .*takes 6 arguments",
+        ),
+        ({"name": ["mask"]}, "'name' must be a string, got \\['mask'\\]"),
     ],
 )
 def test_scenario_rejections(broken, message, tmp_path):
