@@ -2,8 +2,9 @@
 
 An agent configuration is the tuple <ag, C, M, T, Mem, Ta, s, ast>:
 
-* ag — beliefs bs, plan library ps, concerns cc, personality P, normative
-  beliefs NB;
+* ag — beliefs bs (each believed literal mapped to the non-empty set of
+  sources that believe it), plan library ps, concerns cc, personality P,
+  normative beliefs NB;
 * C — circumstance: intentions I, events E, executed actions A;
 * M — mailboxes: In, Out;
 * T — temporary info of the current cycle: relevant plans R, applicable
@@ -81,12 +82,6 @@ def scalar_mood(sigma: AffectPair) -> float:
     return (sigma[0] + sigma[1]) / 2.0
 
 
-@dataclass(frozen=True)
-class Belief:
-    literal: Literal
-    source: str = SOURCE_SELF
-
-
 @dataclass
 class NormativeBelief:
     """A norm adopted by the agent: <do, p, l, rel, roles, pa> plus the
@@ -99,11 +94,9 @@ class NormativeBelief:
     relevance: float
     roles: str | tuple[str, ...]
     pre_appraisal: AffectPair
-    adopted_cycle: int = 0
-    reinforced_tick: int = -1  # last tick a feedback reply referenced this norm
 
     @classmethod
-    def from_decl(cls, decl: NormDecl, cycle: int = 0) -> "NormativeBelief":
+    def from_decl(cls, decl: NormDecl) -> "NormativeBelief":
         return cls(
             id=norm_id(decl),
             deontic=decl.deontic,
@@ -112,7 +105,6 @@ class NormativeBelief:
             relevance=decl.relevance,
             roles=decl.roles,
             pre_appraisal=decl.pre_appraisal,
-            adopted_cycle=cycle,
         )
 
 
@@ -135,10 +127,6 @@ class Intention:
 
     def top(self) -> IntendedMeans | None:
         return self.stack[-1] if self.stack else None
-
-    def is_normative(self) -> bool:
-        top = self.top()
-        return top is not None and top.plan.norm_id is not None
 
 
 @dataclass
@@ -264,7 +252,7 @@ class AgentConfig:
     """Full runtime configuration of one agent."""
 
     id: str
-    bs: set = field(default_factory=set)  # set[Belief]
+    bs: dict = field(default_factory=dict)  # Literal -> set of sources
     ps: list = field(default_factory=list)  # list[PlanDef]
     cc: tuple = ()  # concerns
     P: PersonalityDecl = field(default_factory=PersonalityDecl)
@@ -285,27 +273,22 @@ class AgentConfig:
     mem_cursor: int = field(default=0, repr=False, compare=False)
     # bumped by each write to ps: norm adoption and plan revision
     plan_version: int = field(default=0, repr=False, compare=False)
-    # literal -> number of sources believing it; kept beside bs by
-    # add_belief / remove_belief, which are the only writers of bs
-    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # sorted texts of the held literals, and the same as a set; None once
     # the held literals change, rebuilt on the next read
     _texts: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _text_set: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        for b in self.bs:
-            self._held[b.literal] = self._held.get(b.literal, 0) + 1
-
     # -- belief-base helpers -------------------------------------------
+    # add_belief / remove_belief are the only writers of bs, so no literal
+    # maps to an empty set of sources
 
     def holds(self, literal: Literal) -> bool:
-        return literal in self._held
+        return literal in self.bs
 
     def belief_texts(self) -> tuple:
         """Sorted texts of the believed literals."""
         if self._texts is None:
-            self._texts = tuple(sorted(render_literal(lit) for lit in self._held))
+            self._texts = tuple(sorted(render_literal(lit) for lit in self.bs))
             self._text_set = frozenset(self._texts)
         return self._texts
 
@@ -317,39 +300,30 @@ class AgentConfig:
 
     def add_belief(self, literal: Literal, source: str) -> bool:
         """Add a (literal, source) pair; True if the base changed."""
-        belief = Belief(literal, source)
-        if belief in self.bs:
-            return False
-        self.bs.add(belief)
-        count = self._held.get(literal, 0)
-        if not count:
+        sources = self.bs.get(literal)
+        if sources is None:
+            self.bs[literal] = {source}
             self._texts = None
-        self._held[literal] = count + 1
+            return True
+        if source in sources:
+            return False
+        sources.add(source)
         return True
 
     def remove_belief(self, literal: Literal, source: str | None = None) -> bool:
         """Remove matching beliefs; any source when *source* is None."""
-        count = self._held.get(literal, 0)
-        if not count:
+        sources = self.bs.get(literal)
+        if sources is None or (source is not None and source not in sources):
             return False
-        if source is None:
-            self.bs -= {b for b in self.bs if b.literal == literal}
-            del self._held[literal]
-            self._texts = None
-            return True
-        belief = Belief(literal, source)
-        if belief not in self.bs:
-            return False
-        self.bs.remove(belief)
-        if count == 1:
-            del self._held[literal]
-            self._texts = None
+        if source is not None and len(sources) > 1:
+            sources.remove(source)
         else:
-            self._held[literal] = count - 1
+            del self.bs[literal]
+            self._texts = None
         return True
 
     def percept_literals(self) -> set:
-        return {b.literal for b in self.bs if b.source == SOURCE_PERCEPT}
+        return {lit for lit, sources in self.bs.items() if SOURCE_PERCEPT in sources}
 
     def new_intention(self, means: IntendedMeans) -> Intention:
         intent = Intention(iid=self._next_iid, stack=[means])
@@ -374,7 +348,7 @@ def agent_from_program(
     empty circumstance and memory; beliefs are self-sourced."""
     agent = AgentConfig(
         id=agent_id,
-        bs={Belief(lit, SOURCE_SELF) for lit in program.beliefs},
+        bs={lit: {SOURCE_SELF} for lit in program.beliefs},
         ps=list(program.plans),
         cc=program.concerns,
         P=program.personality or PersonalityDecl(),
@@ -389,10 +363,6 @@ def agent_from_program(
 
 # ----------------------------------------------------------------------
 # snapshot serialization
-
-
-def _belief_json(b: Belief) -> dict:
-    return {"literal": render_literal(b.literal), "source": b.source}
 
 
 def _nb_json(nb: NormativeBelief) -> dict:
@@ -450,7 +420,12 @@ def snapshot(agent: AgentConfig) -> dict:
     return {
         "id": agent.id,
         "ag": {
-            "bs": sorted((_belief_json(b) for b in agent.bs), key=lambda d: (d["literal"], d["source"])),
+            "bs": [
+                {"literal": text, "source": source}
+                for text, source in sorted(
+                    (render_literal(lit), source) for lit, sources in agent.bs.items() for source in sources
+                )
+            ],
             "ps": [render_plan(p) for p in agent.ps],
             "cc": [render_literal(c) for c in agent.cc],
             "P": {

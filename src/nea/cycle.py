@@ -221,7 +221,7 @@ def _adopt_norm(agent: AgentConfig, decl) -> str | None:
     nid = norm_id(decl)
     if agent.find_norm(nid) is not None:
         return None
-    nb = NormativeBelief.from_decl(decl, cycle=agent.cycle)
+    nb = NormativeBelief.from_decl(decl)
     agent.NB.append(nb)
     gen_norm_plans(agent.ps, nb)
     agent.plan_version += 1
@@ -290,7 +290,6 @@ def process_message(
             return f"feedback for unknown norm {message.norm}", StepLabel.SelEv, {}
         before = nb.relevance
         nb.relevance = increment_relevance(nb.relevance, env.n_agents, env.delta)
-        nb.reinforced_tick = env.tick
         pair = message.appraisal or (0.0, 0.0)
         agent.Ta.sigma = update_affect(agent.Ta.sigma, pair, env.n_agents)
         agent.Mem.append(

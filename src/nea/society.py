@@ -203,6 +203,10 @@ class ScenarioConfig:
                 raise ScenarioError(f"agent id {spec['id']!r} must be a string")
             if spec["id"] == BROADCAST:
                 raise ScenarioError(f"scenario 'agents[{i}].id' {BROADCAST!r} names every agent")
+            if spec["id"] == OBSERVER_CHANNEL:
+                raise ScenarioError(
+                    f"scenario 'agents[{i}].id' {OBSERVER_CHANNEL!r} is the announcement channel"
+                )
             if spec["id"] in seen:
                 raise ScenarioError(f"duplicate agent id {spec['id']!r}")
             seen.add(spec["id"])
@@ -507,9 +511,8 @@ class Society:
                 self.roster[aid].M.In.extend(batch)
                 self._pending[aid] = []
 
-        # 2. each agent runs one full tick (independent: mail and observation
-        #    land at tick boundaries)
-        results: dict[str, tuple[list[TraceItem], list[Message]]] = {}
+        # 2. each agent runs one full tick, and its outbound mail is routed
+        #    (independent: routed mail lands in _pending, delivered next tick)
         actions_before = {aid: len(agent.C.A) for aid, agent in self.roster.items()}
         trace: list[TraceItem] = []
         announcements: list[tuple[Message, str]] = []
@@ -518,12 +521,7 @@ class Society:
         try:
             for aid, agent in self.roster.items():
                 env.percepts = self._percepts_for(aid, t)
-                results[aid] = agent_tick(agent, env)
-
-            # 3. route outbound mail and announcements, then let the
-            #    observation fabric react to what this tick produced
-            for aid in self.roster:
-                entries, outbound = results[aid]
+                entries, outbound = agent_tick(agent, env)
                 trace.extend(entries)
                 for message in outbound:
                     if message.recipient == OBSERVER_CHANNEL:
@@ -533,6 +531,7 @@ class Society:
         except InterpreterFault as exc:
             exc.tick = t
             raise
+        # 3. the observation fabric reacts to what this tick produced
         self._authority_react(announcements)
         self._observers_react()
 

@@ -272,6 +272,21 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
         # Perceive would adopt it: a norm(...) percept must be a well-formed norm
         (lambda spec: spec["percepts"][1].update(literal='norm("obligation", "x")'), "percepts[1].literal"),
         (lambda spec: spec.update(name=5), "name"),
+        (lambda spec: spec["agents"][0].update(id="__observers__"), "agents[0].id"),
+    ],
+    ids=[
+        "<lambda>-params.delta",
+        "<lambda>-ticks",
+        "<lambda>-percepts[0].literal",
+        "<lambda>-percepts[1].period",
+        "<lambda>-params.decay_affect",
+        "<lambda>-observation.feedback.pair",
+        "<lambda>---ticks",
+        "<lambda>---decay-affect",
+        "<lambda>---relevance-threshold",
+        "<lambda>-percepts[1].literal",
+        "<lambda>-name",
+        "<lambda>-agents[0].id",
     ],
 )
 def test_run_malformed_field_exits_2(tmp_path, capsys, edit, key):

@@ -7,7 +7,6 @@ import json
 import random
 
 from nea.core import (
-    Belief,
     IntendedMeans,
     MemKind,
     NormativeBelief,
@@ -35,7 +34,7 @@ def test_initial_configuration():
     assert agent.Mem == [] and agent.NB == []
     assert agent.roles == ("professor",)
     assert agent.P.rebelliousness == 0.3
-    assert {b.source for b in agent.bs} == {SOURCE_SELF}
+    assert agent.bs and all(sources == {SOURCE_SELF} for sources in agent.bs.values())
 
 
 def test_initial_goals_become_events():
@@ -61,12 +60,9 @@ def test_belief_base_is_source_keyed():
     assert not agent.remove_belief(lit)
 
 
-def held_reference(agent) -> dict:
-    """Literal -> number of sources, recounted from the public set ``bs``."""
-    counts: dict = {}
-    for b in agent.bs:
-        counts[b.literal] = counts.get(b.literal, 0) + 1
-    return counts
+def belief_pairs(agent) -> set:
+    """The (literal, source) pairs of ``bs``."""
+    return {(lit, source) for lit, sources in agent.bs.items() for source in sources}
 
 
 def test_belief_index_agrees_with_bs_for_two_sources():
@@ -75,41 +71,45 @@ def test_belief_index_agrees_with_bs_for_two_sources():
     agent.add_belief(lit, SOURCE_SELF)
     agent.add_belief(lit, SOURCE_PERCEPT)
     assert agent.belief_texts() == ("x", "y")
-    assert agent._held == held_reference(agent) == {Literal("x"): 1, lit: 2}
+    assert agent.bs == {Literal("x"): {SOURCE_SELF}, lit: {SOURCE_SELF, SOURCE_PERCEPT}}
 
     # a percept going away keeps the self copy
     assert agent.remove_belief(lit, SOURCE_PERCEPT)
     assert not agent.remove_belief(lit, SOURCE_PERCEPT), "already gone"
     assert agent.holds(lit)
     assert agent.belief_texts() == ("x", "y")
-    assert agent.bs == {Belief(Literal("x")), Belief(lit, SOURCE_SELF)}
-    assert agent._held == held_reference(agent)
+    assert agent.bs == {Literal("x"): {SOURCE_SELF}, lit: {SOURCE_SELF}}
 
     assert agent.remove_belief(lit, SOURCE_SELF)
     assert not agent.holds(lit)
     assert agent.belief_texts() == ("x",)
-    assert agent._held == held_reference(agent)
+    assert agent.bs == {Literal("x"): {SOURCE_SELF}}
 
 
 def test_belief_index_follows_random_updates():
     rng = random.Random(4)
     agent = build_agent("x.\ny.")
+    reference = {(Literal("x"), SOURCE_SELF), (Literal("y"), SOURCE_SELF)}
     pool = [Literal("x"), Literal("y"), Literal("z", (1.0,)), Literal("z", (2.0,))]
     sources = [SOURCE_SELF, SOURCE_PERCEPT, "peer", None]
     for _ in range(2000):
         lit, source = rng.choice(pool), rng.choice(sources)
         if source is not None and rng.random() < 0.5:
-            before = Belief(lit, source) in agent.bs
-            assert agent.add_belief(lit, source) is not before
+            assert agent.add_belief(lit, source) is ((lit, source) not in reference)
+            reference.add((lit, source))
         else:
-            before = any(b.literal == lit and source in (None, b.source) for b in agent.bs)
-            assert agent.remove_belief(lit, source) is before
-        assert agent._held == held_reference(agent)
-        texts = sorted(render_literal(lit) for lit in {b.literal for b in agent.bs})
+            matched = {pair for pair in reference if pair[0] == lit and source in (None, pair[1])}
+            assert agent.remove_belief(lit, source) is bool(matched)
+            reference -= matched
+        assert belief_pairs(agent) == reference
+        assert all(agent.bs.values()), "no literal maps to an empty set"
+        held = {pair[0] for pair in reference}
+        assert agent.percept_literals() == {pair[0] for pair in reference if pair[1] == SOURCE_PERCEPT}
+        texts = sorted(map(render_literal, held))
         assert agent.belief_texts() == tuple(texts)
         assert agent.belief_text_set() == frozenset(texts)
         for probe in pool:
-            assert agent.holds(probe) is any(b.literal == probe for b in agent.bs)
+            assert agent.holds(probe) is (probe in held)
 
 
 def test_norm_id_is_stable_and_content_keyed():
@@ -123,10 +123,9 @@ def test_norm_id_is_stable_and_content_keyed():
     assert norm_id(decl) != norm_id(other)
     assert len(norm_id(decl)) == 12
 
-    nb = NormativeBelief.from_decl(decl, cycle=3)
+    nb = NormativeBelief.from_decl(decl)
     assert nb.id == norm_id(decl)
     assert nb.deontic == "obligation"
-    assert nb.adopted_cycle == 3
     assert nb.relevance == 50.0
 
 
@@ -137,7 +136,6 @@ def test_intentions_get_unique_ids():
     second = agent.new_intention(IntendedMeans(plan=agent.ps[1], remaining=[]))
     assert first.iid != second.iid
     assert first.top().plan is agent.ps[0]
-    assert not first.is_normative()
 
 
 def test_scalar_mood_and_clamp():

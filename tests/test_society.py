@@ -146,6 +146,67 @@ def test_scenario_loads_builtin():
             "'percepts\\[0\\].literal' .*takes 6 arguments",
         ),
         ({"name": ["mask"]}, "'name' must be a string, got \\['mask'\\]"),
+        (
+            {"agents": [{"id": "__observers__", "program": "x.\n"}]},
+            "'agents\\[0\\].id' '__observers__' is the announcement channel",
+        ),
+    ],
+    ids=[
+        "broken0-missing 'ticks'",
+        "broken1-declares no agents",
+        "broken2-must be list",
+        "broken3-needs an id and a program",
+        "broken4-duplicate agent id",
+        "broken5-unknown agents",
+        "broken6-needs 'at'",
+        "broken7-period must be positive",
+        "broken8-not an agent",
+        "broken9-not an agent",
+        "broken10-reactions.comply' must be a pair",
+        "broken11-feedback.pair' must be a pair",
+        "broken12-deviation_threshold' must be a pair",
+        "broken13-must be a string",
+        "broken14-is not public",
+        "broken15-'wearing_mask' is not public",
+        "broken16-condition 'x\\(':",
+        "broken17-must be a string",
+        "broken18-'ticks' must not be negative",
+        "broken19-'ticks' must be an integer",
+        "broken20-'seed' must be an integer",
+        "broken21-'seed' must be an integer",
+        "broken22-'params.delta' must be a number",
+        "broken23-'params.decay_relevance' must be a number",
+        "broken24-'params' must be an object",
+        "broken25-'percepts\\[0\\].literal' must be a string",
+        "broken26-'percepts\\[0\\].literal' 'x\\(':",
+        "broken27-'percepts\\[0\\]' must be an object",
+        "broken28-'percepts\\[0\\].at' must be an integer",
+        "broken29-'percepts\\[0\\].from' must be an integer",
+        "broken30-'percepts\\[0\\].period' must be an integer",
+        "broken31-'percepts' must be a list",
+        "broken32-'percepts\\[0\\].agents' must be a list",
+        "broken33-'agents\\[0\\].program' must be a string",
+        "broken34-'agents\\[0\\].roles' must be a list of strings",
+        "broken35-'observation' must be an object",
+        "broken36-'observation.feedback' must be an object",
+        "broken37-'observation.reactions' must be an object",
+        "broken38-'observation.public' must be a list",
+        "broken39-'observation.feedback.observers' must be a list",
+        "broken40-'observation.feedback.condition' must be a list",
+        "broken41-'params.delta' must be a number, got nan",
+        "broken42-'params.decay_affect' must be a number, got inf",
+        "broken43-'params.relevance_weight' must be a number",
+        "broken44-reactions.comply' must be a pair",
+        "broken45-deviation_threshold' must be a pair",
+        "broken46-'observation.authority' must be a string, got \\[\\]",
+        "5-scenario must be a JSON object, got 5",
+        "None-scenario must be a JSON object, got None",
+        "broken49-'agents\\[0\\].program': .*missing.nea",
+        "broken50-'agents\\[0\\].program': ",
+        "broken51-'agents\\[0\\].id' 'ALL' names every agent",
+        "broken52-'percepts\\[0\\].literal' .*takes 6 arguments",
+        "broken53-'name' must be a string, got \\['mask'\\]",
+        "broken54-'agents\\[0\\].id' '__observers__' is the announcement channel",
     ],
 )
 def test_scenario_rejections(broken, message, tmp_path):
@@ -295,7 +356,7 @@ def test_broadcast_reaches_everyone_but_the_sender():
     for aid in ("b", "c"):
         agent = society.roster[aid]
         assert agent.holds(Literal("hello"))
-        assert {b.source for b in agent.bs if b.literal == Literal("hello")} == {"a"}
+        assert agent.bs[Literal("hello")] == {"a"}
 
 
 def test_direct_message_reaches_one_recipient():
@@ -359,7 +420,7 @@ def reference_feedback(society, edge: dict) -> list[tuple[str, str]]:
         for target_id, target in society.roster.items():
             if target_id == observer or (wanted and not (wanted & set(target.roles))):
                 continue
-            held = {b.literal for b in target.bs}
+            held = set(target.bs)
             state = all(Literal(text) in held for text in policy.condition)
             if state and not edge.get((observer, target_id), False):
                 sent.append((target_id, observer))
