@@ -1,10 +1,9 @@
 """Affect engine: appraisal, affective-state updates and decay, coping,
 belief synchronisation, and social-feedback accumulation with plan revision.
+The feedback wire format is read and written by ``nea.lang``.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .core import (
     AffectPair,
@@ -25,27 +24,19 @@ from .lang import (
     BodyStep,
     CopingStrategy,
     Literal,
-    ParseError,
-    PersonalityDecl,
     PlanDef,
     StepKind,
     TriggerEvent,
     TriggerKind,
     TriggerType,
     render_literal,
-    tokenize,
 )
-from .lang.tokens import TokenType
 
 # ----------------------------------------------------------------------
 # appraisal and affective state
 
 
-def appraise(
-    event: MemoryEvent,
-    concerns: tuple = (),
-    personality: PersonalityDecl | None = None,
-) -> AppraisalVariables | None:
+def appraise(event: MemoryEvent) -> AppraisalVariables | None:
     """Appraisal variables for a memory event; None for a zero pair.
 
     Desirability maps the pleasure component into [0,1]; a self-caused event
@@ -130,8 +121,7 @@ def sync_beliefs(agent: AgentConfig, tick: int) -> dict:
                 )
                 added.append(render_literal(entry.literal))
         elif entry.kind is UbKind.DEL:
-            source = entry.source if entry.source else None
-            if agent.remove_belief(entry.literal, source):
+            if agent.remove_belief(entry.literal, entry.source):
                 agent.C.E.append(
                     Event(TriggerEvent(TriggerKind.DEL, TriggerType.BELIEF, entry.literal))
                 )
@@ -164,76 +154,11 @@ def queue_belief_add(agent: AgentConfig, literal: Literal, source: str) -> None:
 
 
 def queue_belief_del(agent: AgentConfig, literal: Literal, source: str | None) -> None:
-    agent.Ta.Ub.append(UbEntry(UbKind.DEL, literal=literal, source=source or ""))
+    agent.Ta.Ub.append(UbEntry(UbKind.DEL, literal=literal, source=source))
 
 
 # ----------------------------------------------------------------------
-# social feedback: wire format, accumulation, emergence
-
-
-def render_feedback(condition, pair: AffectPair) -> str:
-    """Wire form of a feedback message: ``(+lit;+lit),[p,a]``.
-
-    *condition* is an iterable of (literal text, present) pairs, emitted in
-    the given order.
-    """
-    lits = ";".join(("+" if present else "-") + text for text, present in condition)
-    return f"({lits}),[{pair[0]!r},{pair[1]!r}]"
-
-
-@functools.lru_cache(maxsize=256)
-def parse_feedback(text: str) -> tuple[tuple[tuple[str, bool], ...], AffectPair]:
-    """Parse the feedback wire format; inverse of ``render_feedback``.
-    Observers repeat one text, so each is parsed once (the result is a
-    tuple of tuples; a malformed text is not cached)."""
-    tokens = tokenize(text)
-    pos = 0
-
-    def expect(ttype: TokenType) -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        if tok.type is not ttype:
-            raise ParseError(f"malformed feedback: expected {ttype.value!r}", tok.line, tok.col)
-        pos += 1
-        return tok.value
-
-    def number() -> float:
-        nonlocal pos
-        sign = 1.0
-        if tokens[pos].type is TokenType.MINUS:
-            sign, pos = -1.0, pos + 1
-        elif tokens[pos].type is TokenType.PLUS:
-            pos += 1
-        return sign * float(expect(TokenType.NUMBER))
-
-    expect(TokenType.LPAREN)
-    condition: list[tuple[str, bool]] = []
-    while True:
-        tok = tokens[pos]
-        if tok.type is TokenType.PLUS:
-            present = True
-        elif tok.type is TokenType.MINUS:
-            present = False
-        else:
-            raise ParseError("malformed feedback: condition literals carry a sign", tok.line, tok.col)
-        pos += 1
-        name = expect(TokenType.IDENT)
-        condition.append((name, present))
-        if tokens[pos].type is TokenType.SEMICOLON:
-            pos += 1
-            continue
-        break
-    expect(TokenType.RPAREN)
-    expect(TokenType.COMMA)
-    expect(TokenType.LBRACKET)
-    p = number()
-    expect(TokenType.COMMA)
-    a = number()
-    expect(TokenType.RBRACKET)
-    if tokens[pos].type is not TokenType.EOF:
-        tok = tokens[pos]
-        raise ParseError("malformed feedback: trailing input", tok.line, tok.col)
-    return tuple(condition), (p, a)
+# social feedback: accumulation and emergence
 
 
 def accumulate_feedback(

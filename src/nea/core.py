@@ -192,7 +192,7 @@ class UbEntry:
 
     kind: UbKind
     literal: Literal | None = None
-    source: str = SOURCE_SELF
+    source: str | None = SOURCE_SELF  # None on a deletion: every source's copy
     pair: AffectPair | None = None
     norm_id: str | None = None
     variant: str | None = None

@@ -61,7 +61,6 @@ from .affect import (
     cope,
     detect_social_norm,
     accumulate_feedback,
-    parse_feedback,
     queue_belief_add,
     queue_belief_del,
     revise_plan,
@@ -99,6 +98,7 @@ from .lang import (
     TriggerKind,
     TriggerType,
     norm_from_literal,
+    parse_feedback,
     parse_literal_text,
     render_literal,
     render_plan,
@@ -685,7 +685,7 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
     agent.ast = AffectiveStepLabel.Appr
     appraised_n = 0
     for ev in batch:
-        av = appraise(ev, agent.cc, agent.P)
+        av = appraise(ev)
         if av is not None:
             agent.Ta.Av = av
             appraised_n += 1

@@ -100,6 +100,23 @@ class Parser:
     def _at_eof(self) -> bool:
         return self._current().type is TokenType.EOF
 
+    def _at_end(self, result, what: str):
+        """*result*, once the text has nothing left after the *what*."""
+        tok = self._current()
+        if tok.type is not TokenType.EOF:
+            raise ParseError(f"trailing input {tok.value!r} after {what}", tok.line, tok.col)
+        return result
+
+    def _items(self, parse_item, close: TokenType, what: str) -> tuple:
+        """``item ("," item)*``, possibly empty, then the *close* token."""
+        items = []
+        if not self._check(close):
+            items.append(parse_item())
+            while self._match(TokenType.COMMA):
+                items.append(parse_item())
+        self._expect(close, what)
+        return tuple(items)
+
     # ------------------------------------------------------------------
     # program
 
@@ -130,14 +147,19 @@ class Parser:
                     raise self._error(f"{head} block out of order")
                 section = block_rank
                 seen_blocks.append(head)
+                self._advance()
+                self._expect(TokenType.COLON, "':' after block name")
+                self._expect(TokenType.LBRACE, "'{'")
                 if head == "concerns__":
-                    concerns = tuple(self._parse_concerns_block())
+                    concerns = self._items(self._parse_literal, TokenType.RBRACE, "'}'")
                 elif head == "personality__":
                     personality = self._parse_personality_block()
                 elif head == "roles__":
-                    roles = tuple(self._parse_roles_block())
+                    roles = self._items(self._parse_role_name, TokenType.RBRACE, "'}'")
                 else:
-                    norms = tuple(self._parse_norms_block())
+                    norms = self._parse_norms_block()
+                # the brace already delimits the block: a trailing '.' is optional
+                self._match(TokenType.DOT)
                 continue
 
             if tok.type is TokenType.IDENT:
@@ -182,16 +204,12 @@ class Parser:
         name = self._expect(TokenType.IDENT, "identifier")
         args: tuple = ()
         if self._match(TokenType.LPAREN):
-            items = []
-            if not self._check(TokenType.RPAREN):
-                items.append(self._parse_term())
-                while self._match(TokenType.COMMA):
-                    items.append(self._parse_term())
-            self._expect(TokenType.RPAREN, "')'")
-            args = tuple(items)
+            args = self._items(self._parse_term, TokenType.RPAREN, "')'")
         return Literal(name.value, args)
 
-    def _parse_term(self):
+    def _parse_term(self, in_vector: bool = False):
+        """A name, string, number or vector; a vector item is no vector,
+        and anything else there must be a number."""
         tok = self._current()
         if tok.type is TokenType.IDENT:
             self._advance()
@@ -199,10 +217,10 @@ class Parser:
         if tok.type is TokenType.STRING:
             self._advance()
             return tok.value
-        if tok.type in (TokenType.NUMBER, TokenType.PLUS, TokenType.MINUS):
-            return self._parse_number()
-        if tok.type is TokenType.LBRACKET:
+        if tok.type is TokenType.LBRACKET and not in_vector:
             return self._parse_vector()
+        if in_vector or tok.type in (TokenType.NUMBER, TokenType.PLUS, TokenType.MINUS):
+            return self._parse_number()
         raise self._error(f"expected a term, found {tok.value!r}")
 
     def _parse_number(self) -> float:
@@ -217,23 +235,7 @@ class Parser:
     def _parse_vector(self) -> tuple:
         """Bracketed list of numbers, strings or identifiers."""
         self._expect(TokenType.LBRACKET, "'['")
-        items: list = []
-        if not self._check(TokenType.RBRACKET):
-            items.append(self._parse_vector_item())
-            while self._match(TokenType.COMMA):
-                items.append(self._parse_vector_item())
-        self._expect(TokenType.RBRACKET, "']'")
-        return tuple(items)
-
-    def _parse_vector_item(self):
-        tok = self._current()
-        if tok.type is TokenType.STRING:
-            self._advance()
-            return tok.value
-        if tok.type is TokenType.IDENT:
-            self._advance()
-            return Sym(tok.value)
-        return self._parse_number()
+        return self._items(lambda: self._parse_term(in_vector=True), TokenType.RBRACKET, "']'")
 
     # ------------------------------------------------------------------
     # plans
@@ -333,38 +335,7 @@ class Parser:
         raise self._error(f"expected a body step, found {self._current().value!r}")
 
     # ------------------------------------------------------------------
-    # blocks
-
-    def _open_block(self) -> None:
-        self._advance()  # block head identifier
-        self._expect(TokenType.COLON, "':' after block name")
-        self._expect(TokenType.LBRACE, "'{'")
-
-    def _close_block(self) -> None:
-        self._expect(TokenType.RBRACE, "'}'")
-        # The brace already delimits the block; a trailing '.' is accepted
-        # but not required.
-        self._match(TokenType.DOT)
-
-    def _parse_concerns_block(self) -> list[Literal]:
-        self._open_block()
-        items: list[Literal] = []
-        if not self._check(TokenType.RBRACE):
-            items.append(self._parse_literal())
-            while self._match(TokenType.COMMA):
-                items.append(self._parse_literal())
-        self._close_block()
-        return items
-
-    def _parse_roles_block(self) -> list[str]:
-        self._open_block()
-        items: list[str] = []
-        if not self._check(TokenType.RBRACE):
-            items.append(self._parse_role_name())
-            while self._match(TokenType.COMMA):
-                items.append(self._parse_role_name())
-        self._close_block()
-        return items
+    # blocks (parse_program reads the head and the opening brace)
 
     def _parse_role_name(self) -> str:
         tok = self._current()
@@ -374,7 +345,6 @@ class Parser:
         raise self._error("expected a role name")
 
     def _parse_personality_block(self) -> PersonalityDecl:
-        self._open_block()
         tok = self._current()
         traits_vec = self._parse_vector()
         if len(traits_vec) != 5 or not all(isinstance(v, float) for v in traits_vec):
@@ -390,7 +360,8 @@ class Parser:
             if tok.type is TokenType.LBRACKET:
                 if coping is not None:
                     raise self._error("duplicate coping-strategy list")
-                coping = tuple(self._parse_coping_list())
+                self._advance()
+                coping = self._items(self._parse_coping_strategy, TokenType.RBRACKET, "']'")
             else:
                 if len(numbers) == 2:
                     raise self._error("too many numeric personality slots")
@@ -400,7 +371,7 @@ class Parser:
                         "personality levels must lie in [0,1]", tok.line, tok.col
                     )
                 numbers.append(value)
-        self._close_block()
+        self._expect(TokenType.RBRACE, "'}'")
 
         rationality = numbers[0] if numbers else 0.0
         rebelliousness = numbers[1] if len(numbers) > 1 else 0.0
@@ -410,16 +381,6 @@ class Parser:
             coping=coping or (),
             rebelliousness=rebelliousness,
         )
-
-    def _parse_coping_list(self) -> list[CopingStrategy]:
-        self._expect(TokenType.LBRACKET, "'['")
-        items: list[CopingStrategy] = []
-        if not self._check(TokenType.RBRACKET):
-            items.append(self._parse_coping_strategy())
-            while self._match(TokenType.COMMA):
-                items.append(self._parse_coping_strategy())
-        self._expect(TokenType.RBRACKET, "']'")
-        return items
 
     def _parse_coping_strategy(self) -> CopingStrategy:
         head = self._expect(TokenType.IDENT, "'cope'")
@@ -431,14 +392,9 @@ class Parser:
         arousal = self._parse_range(head)
         self._expect(TokenType.COMMA, "','")
         self._expect(TokenType.LBRACKET, "'['")
-        actions: list[Literal] = []
-        if not self._check(TokenType.RBRACKET):
-            actions.append(self._parse_literal())
-            while self._match(TokenType.COMMA):
-                actions.append(self._parse_literal())
-        self._expect(TokenType.RBRACKET, "']'")
+        actions = self._items(self._parse_literal, TokenType.RBRACKET, "']'")
         self._expect(TokenType.RPAREN, "')'")
-        return CopingStrategy(pleasure=pleasure, arousal=arousal, actions=tuple(actions))
+        return CopingStrategy(pleasure=pleasure, arousal=arousal, actions=actions)
 
     def _parse_range(self, head: Token) -> tuple[float, float]:
         vec = self._parse_vector()
@@ -449,8 +405,7 @@ class Parser:
             raise SemanticError("coping range must be ordered and lie in [-1,1]", head.line, head.col)
         return (lo, hi)
 
-    def _parse_norms_block(self) -> list[NormDecl]:
-        self._open_block()
+    def _parse_norms_block(self) -> tuple[NormDecl, ...]:
         items: list[NormDecl] = []
         while not self._check(TokenType.RBRACE):
             items.append(self._parse_norm_call())
@@ -459,8 +414,8 @@ class Parser:
                 separated = True
             if not separated and not self._check(TokenType.RBRACE):
                 raise self._error("norm entries must be separated by '.' or ','")
-        self._close_block()
-        return items
+        self._expect(TokenType.RBRACE, "'}'")
+        return tuple(items)
 
     def _parse_norm_call(self) -> NormDecl:
         tok = self._current()
@@ -553,12 +508,7 @@ def parse_agent_program(text: str) -> AgentProgram:
 
     Raises LexError / ParseError / SemanticError with 1-based positions.
     """
-    parser = Parser(tokenize(text))
-    program = parser.parse_program()
-    tok = parser._current()
-    if tok.type is not TokenType.EOF:
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return program
+    return Parser(tokenize(text)).parse_program()
 
 
 def parse_plan_text(text: str) -> PlanDef:
@@ -567,11 +517,7 @@ def parse_plan_text(text: str) -> PlanDef:
     The trailing '.' is optional here; norm strings conventionally carry it.
     """
     parser = Parser(tokenize(text if text.rstrip().endswith(".") else text + "."))
-    plan = parser._parse_plan(in_norm=True)
-    tok = parser._current()
-    if tok.type is not TokenType.EOF:
-        raise ParseError(f"trailing input {tok.value!r} after plan", tok.line, tok.col)
-    return plan
+    return parser._at_end(parser._parse_plan(in_norm=True), "plan")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -583,7 +529,30 @@ def parse_literal_text(text: str) -> Literal:
     parser = Parser(tokenize(text))
     lit = parser._parse_literal()
     parser._match(TokenType.DOT)
-    end = parser._current()
-    if end.type is not TokenType.EOF:
-        raise ParseError(f"trailing input {end.value!r} after literal", end.line, end.col)
-    return lit
+    return parser._at_end(lit, "literal")
+
+
+@functools.lru_cache(maxsize=256)
+def parse_feedback(text: str) -> tuple[tuple[tuple[str, bool], ...], tuple[float, float]]:
+    """Parse the feedback wire format ``(+lit;-lit),[p,a]`` (docs/grammar.md);
+    inverse of ``render_feedback``.  Condition literals are bare names.
+    Observers repeat one text, so each is parsed once (the result is a
+    tuple of tuples; a malformed text is not cached)."""
+    parser = Parser(tokenize(text))
+    parser._expect(TokenType.LPAREN, "'(' opening the feedback condition")
+    condition = []
+    while True:
+        sign = parser._match(TokenType.PLUS) or parser._match(TokenType.MINUS)
+        if sign is None:
+            raise parser._error("feedback condition literals carry a sign")
+        name = parser._expect(TokenType.IDENT, "identifier")
+        condition.append((name.value, sign.type is TokenType.PLUS))
+        if not parser._match(TokenType.SEMICOLON):
+            break
+    parser._expect(TokenType.RPAREN, "')'")
+    parser._expect(TokenType.COMMA, "','")
+    tok = parser._current()
+    pair = parser._parse_vector()
+    if len(pair) != 2 or not all(isinstance(v, float) for v in pair):
+        raise ParseError("the feedback pair must be two numbers", tok.line, tok.col)
+    return tuple(condition), parser._at_end(pair, "feedback")

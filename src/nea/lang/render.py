@@ -81,6 +81,16 @@ def render_plan(plan: PlanDef, *, norm_form: bool = False) -> str:
     return out + "."
 
 
+def render_feedback(condition, pair: tuple[float, float]) -> str:
+    """Wire form of a feedback message: ``(+lit;-lit),[p,a]``.
+
+    *condition* is an iterable of (literal text, present) pairs, emitted in
+    the given order; ``parse_feedback`` is its inverse.
+    """
+    lits = ";".join(("+" if present else "-") + text for text, present in condition)
+    return f"({lits}),[{pair[0]!r},{pair[1]!r}]"
+
+
 def render_norm(decl: NormDecl) -> str:
     roles = _quoted(decl.roles) if isinstance(decl.roles, str) else (
         "[" + ",".join(_quoted(r) for r in decl.roles) + "]"

@@ -1,12 +1,17 @@
 """Tokenizer for the agent-definition language.
 
-Hand-rolled scanner producing a flat token list.  Every token carries the
-1-based line/column where it starts; whitespace and comments (``//`` to end of
-line, ``/* ... */``) are dropped.
+One compiled pattern is matched at each position of the text; it has one
+alternative per token shape.  Every token carries the 1-based line/column
+where it starts; whitespace and comments (``//`` to end of line,
+``/* ... */``) are dropped.  A word starts with a letter (``str.isalpha``)
+or ``_`` and goes on with letters, digits (``str.isalnum``) and ``_``;
+numbers are written with decimal digits (``str.isdecimal``).  In a string,
+only ``\\"`` and ``\\\\`` are escapes; any other backslash is kept as is.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,33 +53,25 @@ class Token:
         return f"{self.type.name}({self.value!r}@{self.line}:{self.col})"
 
 
-_SINGLE = {
-    "+": TokenType.PLUS,
-    "-": TokenType.MINUS,
-    "!": TokenType.BANG,
-    "@": TokenType.AT,
-    "&": TokenType.AMP,
-    ":": TokenType.COLON,
-    ";": TokenType.SEMICOLON,
-    ",": TokenType.COMMA,
-    ".": TokenType.DOT,
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    "{": TokenType.LBRACE,
-    "}": TokenType.RBRACE,
-    "[": TokenType.LBRACKET,
-    "]": TokenType.RBRACKET,
-}
+_SINGLE = {t.value: t for t in TokenType if len(t.value) == 1}
 
-_KEYWORDS = {"not": TokenType.NOT}
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+# In a str pattern \d is str.isdecimal and \w is str.isalnum or "_".  A
+# string is runs of plain characters between backslashes, each backslash
+# either an escape or a lone one that no quote or backslash follows, so
+# backtracking can never end a string at an escaped quote, and a long
+# string costs the matcher no stack.
+_TOKEN = re.compile(
+    r"""
+      (?P<skip> [ \t\r\n]+ | //[^\n]* | /\*[\s\S]*?\*/ )
+    | (?P<arrow> <- )
+    | "(?P<string> [^"\\]* (?: (?: \\["\\] | \\(?!["\\]) ) [^"\\]* )* )"
+    | (?P<number> \d+ (?: \.\d+ )? (?: [eE][+-]?\d+ )? )
+    | (?P<word> \w+ )
+    | (?P<single> [-+!@&:;,.(){}\[\]] )
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def tokenize(text: str) -> list[Token]:
@@ -83,103 +80,40 @@ def tokenize(text: str) -> list[Token]:
     Raises
     ------
     LexError
-        On any character that cannot start a token, with its line/col.
+        On any character that cannot start a token, and on an unterminated
+        string or block comment (at its opening ``"`` or ``/*``), with its
+        line/col.
     """
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "/" and text[i : i + 2] == "//":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if ch == "/" and text[i : i + 2] == "/*":
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and text[i : i + 2] != "*/":
-                advance()
-            if i >= n:
-                raise LexError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-
-        start_line, start_col = line, col
-
-        if ch == "<" and text[i : i + 2] == "<-":
-            tokens.append(Token(TokenType.ARROW, "<-", start_line, start_col))
-            advance(2)
-            continue
-
-        if ch == '"':
-            advance()
-            buf: list[str] = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n and text[i + 1] in ('"', "\\"):
-                    buf.append(text[i + 1])
-                    advance(2)
-                else:
-                    buf.append(text[i])
-                    advance()
-            if i >= n:
-                raise LexError("unterminated string", start_line, start_col)
-            advance()  # closing quote
-            tokens.append(Token(TokenType.STRING, "".join(buf), start_line, start_col))
-            continue
-
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
-                j += 1
-                while j < n and text[j].isdecimal():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdecimal():
-                    j = k
-                    while j < n and text[j].isdecimal():
-                        j += 1
-            value = text[i:j]
-            advance(j - i)
-            tokens.append(Token(TokenType.NUMBER, value, start_line, start_col))
-            continue
-
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_part(text[j]):
-                j += 1
-            value = text[i:j]
-            advance(j - i)
-            ttype = _KEYWORDS.get(value, TokenType.IDENT)
-            tokens.append(Token(ttype, value, start_line, start_col))
-            continue
-
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, start_line, start_col))
-            advance()
-            continue
-
-        raise LexError(f"unexpected character {ch!r}", start_line, start_col)
-
-    tokens.append(Token(TokenType.EOF, "", line, col))
+    match = _TOKEN.match
+    pos, line, line_start, n = 0, 1, 0, len(text)
+    while pos < n:
+        col = pos - line_start + 1
+        m = match(text, pos)
+        if m is None:
+            if text[pos] == '"':
+                raise LexError("unterminated string", line, col)
+            if text.startswith("/*", pos):
+                raise LexError("unterminated block comment", line, col)
+            raise LexError(f"unexpected character {text[pos]!r}", line, col)
+        kind, value = m.lastgroup, m[m.lastgroup]
+        if kind == "word":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise LexError(f"unexpected character {value[0]!r}", line, col)
+            tokens.append(Token(TokenType.NOT if value == "not" else TokenType.IDENT, value, line, col))
+        elif kind == "single":
+            tokens.append(Token(_SINGLE[value], value, line, col))
+        elif kind == "number":
+            tokens.append(Token(TokenType.NUMBER, value, line, col))
+        elif kind == "arrow":
+            tokens.append(Token(TokenType.ARROW, value, line, col))
+        else:  # skip or string: the only shapes that can span a newline
+            if kind == "string":
+                tokens.append(Token(TokenType.STRING, _ESCAPE.sub(r"\1", value), line, col))
+            newlines = text.count("\n", pos, m.end())
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, m.end()) + 1
+        pos = m.end()
+    tokens.append(Token(TokenType.EOF, "", line, n - line_start + 1))
     return tokens

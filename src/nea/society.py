@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
-from .affect import render_feedback
 from .core import (
     AgentConfig,
     Ilf,
@@ -51,6 +50,7 @@ from .lang import (
     norm_from_literal,
     parse_agent_program,
     parse_literal_text,
+    render_feedback,
     render_literal,
 )
 
@@ -280,14 +280,19 @@ class ScenarioConfig:
         for obs in observation.observers:
             if obs not in seen:
                 raise ScenarioError(f"observer {obs!r} is not an agent")
-        for text in observation.condition:
+        for i, text in enumerate(observation.condition):
             if not isinstance(text, str):
                 raise ScenarioError(f"observation.feedback.condition {text!r} must be a string")
             try:
-                functor = parse_literal_text(text).functor
+                lit = parse_literal_text(text)
             except LangError as exc:
                 raise ScenarioError(f"observation.feedback.condition {text!r}: {exc}") from exc
-            if functor not in observation.public:
+            if lit.args:
+                raise ScenarioError(
+                    f"scenario 'observation.feedback.condition[{i}]' {text!r} must be a bare name: "
+                    "the feedback wire format carries no arguments"
+                )
+            if lit.functor not in observation.public:
                 raise ScenarioError(
                     f"observation.feedback.condition {text!r} is not public "
                     f"(observation.public: {list(observation.public)})"
@@ -383,7 +388,7 @@ class Society:
                 self._pulses[aid].append(pulse)
         policy = config.observation
         self._condition = [parse_literal_text(text) for text in policy.condition]
-        self._feedback = render_feedback([(text, True) for text in policy.condition], policy.pair)
+        self._feedback = render_feedback([(render_literal(lit), True) for lit in self._condition], policy.pair)
         self._observers = tuple(dict.fromkeys(policy.observers))
         wanted = set(policy.target_roles)
         self._targets = [

@@ -15,7 +15,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from nea.affect import affect_decay, parse_feedback, update_affect
+from nea.affect import affect_decay, update_affect
 from nea.cli import main
 from nea.core import NormativeBelief
 from nea.lang import (
@@ -26,6 +26,7 @@ from nea.lang import (
     TriggerKind,
     TriggerType,
     parse_agent_program,
+    parse_feedback,
     parse_plan_text,
     render,
     render_plan,

@@ -17,8 +17,6 @@ from nea.affect import (
     appraise,
     cope,
     detect_social_norm,
-    parse_feedback,
-    render_feedback,
     revise_plan,
     select_coping,
     update_affect,
@@ -34,7 +32,9 @@ from nea.lang import (
     Literal,
     ParseError,
     StepKind,
+    parse_feedback,
     parse_plan_text,
+    render_feedback,
     render_plan,
 )
 
@@ -213,6 +213,9 @@ def test_feedback_round_trip_property(names, flags, pair):
         "(+wearing_mask)",  # missing pair
         "(+wearing_mask),[0.1]",  # one component
         "(+wearing_mask),[0.1,0.2] extra",
+        "(+a(1)),[0.1,0.2]",  # condition literals are bare names
+        "(+a),[x,0.1]",
+        "(+a),[0.1,0.2,0.3]",
     ],
 )
 def test_malformed_feedback_rejected(bad):

@@ -273,6 +273,11 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
         (lambda spec: spec["percepts"][1].update(literal='norm("obligation", "x")'), "percepts[1].literal"),
         (lambda spec: spec.update(name=5), "name"),
         (lambda spec: spec["agents"][0].update(id="__observers__"), "agents[0].id"),
+        # the feedback wire format carries bare names only
+        (
+            lambda spec: spec["observation"]["feedback"]["condition"].append("in_campus(1)"),
+            "observation.feedback.condition[2]",
+        ),
     ],
     ids=[
         "<lambda>-params.delta",
@@ -287,6 +292,7 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
         "<lambda>-percepts[1].literal",
         "<lambda>-name",
         "<lambda>-agents[0].id",
+        "<lambda>-observation.feedback.condition[2]",
     ],
 )
 def test_run_malformed_field_exits_2(tmp_path, capsys, edit, key):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import nea.cycle
 import nea.society
 from nea import builtin_scenario
-from nea.affect import accumulate_feedback, queue_belief_add, render_feedback
+from nea.affect import accumulate_feedback, queue_belief_add
 from nea.core import (
     AffectiveStepLabel,
     Ilf,
@@ -54,6 +54,7 @@ from nea.lang import (
     Sym,
     parse_literal_text,
     parse_plan_text,
+    render_feedback,
     render_trigger,
 )
 from nea.norms import BREAK, COMPLY

@@ -66,6 +66,43 @@ def test_tokens_carry_positions():
     assert (bb.line, bb.col) == (2, 1)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1.", [("NUMBER", "1", 1, 1), ("DOT", ".", 1, 2)]),
+        ("1e+", [("NUMBER", "1", 1, 1), ("IDENT", "e", 1, 2), ("PLUS", "+", 1, 3)]),
+        ("٣", [("NUMBER", "٣", 1, 1)]),  # ARABIC-INDIC DIGIT THREE is decimal
+        ("a²", [("IDENT", "a²", 1, 1)]),  # a superscript may follow a letter
+        ("note not", [("IDENT", "note", 1, 1), ("NOT", "not", 1, 6)]),
+        ('"a\\"b\\\\c\\d"', [("STRING", 'a"b\\c\\d', 1, 1)]),  # only \" and \\ are escapes
+        ('"a\nb" c', [("STRING", "a\nb", 1, 1), ("IDENT", "c", 2, 4)]),
+        ("/* a\n */ x // y\nz", [("IDENT", "x", 2, 5), ("IDENT", "z", 3, 1)]),
+    ],
+)
+def test_token_shapes(text, expected):
+    toks = tokenize(text)
+    assert [(t.type.name, t.value, t.line, t.col) for t in toks[:-1]] == expected
+    assert toks[-1].type is TokenType.EOF
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("²a", "unexpected character '²'", 1, 1),  # a word starts with a letter or _
+        ("a\n  b/c", "unexpected character '/'", 2, 4),
+        ('a\n  "bc\nd', "unterminated string", 2, 3),
+        ('"a\\"', "unterminated string", 1, 1),  # the last quote is escaped
+        ("a /* b\n c", "unterminated block comment", 1, 3),
+        pytest.param('"' + "x" * 2**20, "unterminated string", 1, 1, id="1MB-string"),
+        pytest.param("/*" + "x" * 2**20, "unterminated block comment", 1, 1, id="1MB-comment"),
+    ],
+)
+def test_lex_error_positions(text, message, line, col):
+    with pytest.raises(LexError) as err:
+        tokenize(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
 # ----------------------------------------------------------------------
 # the printed scenario fragments
 

@@ -150,6 +150,10 @@ def test_scenario_loads_builtin():
             {"agents": [{"id": "__observers__", "program": "x.\n"}]},
             "'agents\\[0\\].id' '__observers__' is the announcement channel",
         ),
+        (
+            {"observation": {"public": ["x"], "feedback": {"condition": ["x", "x(1)"]}}},
+            "'observation.feedback.condition\\[1\\]' 'x\\(1\\)' must be a bare name",
+        ),
     ],
     ids=[
         "broken0-missing 'ticks'",
@@ -207,6 +211,7 @@ def test_scenario_loads_builtin():
         "broken52-'percepts\\[0\\].literal' .*takes 6 arguments",
         "broken53-'name' must be a string, got \\['mask'\\]",
         "broken54-'agents\\[0\\].id' '__observers__' is the announcement channel",
+        "broken55-'observation.feedback.condition\\[1\\]' 'x\\(1\\)' must be a bare name",
     ],
 )
 def test_scenario_rejections(broken, message, tmp_path):
@@ -517,6 +522,19 @@ def test_students_punish_masked_campus_walks_once_per_sighting():
     # the rebel never walks masked on campus, so it draws no judgment
     rebel = society.roster["prof_rebel"]
     assert not [m for m in rebel.Mem if m.kind is MemKind.SOCIAL_FEEDBACK]
+
+
+def test_feedback_condition_is_sent_in_canonical_form():
+    # "wearing_mask." names the same literal as "wearing_mask"; the wire
+    # format carries the canonical text, which the targets can parse
+    spec = json.loads(builtin_scenario("mask").read_text(encoding="utf-8"))
+    spec["observation"]["feedback"]["condition"] = ["wearing_mask.", "in_campus"]
+    society = Society(ScenarioConfig.from_dict(spec, base=builtin_scenario("mask").parent))
+    society.run(ticks=24)
+    conformist = society.roster["prof_conformist"]
+    assert len([m for m in conformist.Mem if m.kind is MemKind.SOCIAL_FEEDBACK]) == 2
+    record = next(iter(conformist.feedback.values()))
+    assert record.condition == frozenset({("wearing_mask", True), ("in_campus", True)})
 
 
 def test_percept_pulses_reach_only_their_targets():
