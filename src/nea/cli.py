@@ -23,8 +23,8 @@ import sys
 import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
+from io import TextIOBase  # not typing.TextIO: importing typing costs ~3 ms
 from pathlib import Path
-from typing import TextIO
 
 from . import __version__, builtin_scenario
 from .core import scalar_mood
@@ -47,7 +47,7 @@ from .society import (
 
 
 @contextmanager
-def _atomic_file(path: Path) -> Iterator[TextIO]:
+def _atomic_file(path: Path) -> Iterator[TextIOBase]:
     """Yield a text file (UTF-8, ``newline=""``) that becomes *path* when
     the block ends; it is a sibling temp file, renamed onto *path* then, or
     deleted when the block raises, so readers never see a half-written file."""

@@ -20,7 +20,6 @@ Everything here is plain data; the step functions live in norms/affect/cycle.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .lang import (
@@ -37,6 +36,7 @@ from .lang import (
     render_plan,
     render_trigger,
 )
+from .record import Record
 
 
 class StepLabel(Enum):
@@ -82,29 +82,23 @@ def scalar_mood(sigma: AffectPair) -> float:
     return (sigma[0] + sigma[1]) / 2.0
 
 
-@dataclass
-class NormativeBelief:
+class NormativeBelief(Record):
     """A norm adopted by the agent: <do, p, l, rel, roles, pa> plus the
     generated id (hash of the canonical norm text) and bookkeeping."""
 
-    id: str
-    deontic: str
-    plan: PlanDef
-    limit: int
-    relevance: float
-    roles: str | tuple[str, ...]
-    pre_appraisal: AffectPair
+    __slots__ = _fields = ("id", "deontic", "plan", "limit", "relevance", "roles", "pre_appraisal")
+
+    def __init__(
+        self, id: str, deontic: str, plan: PlanDef, limit: int, relevance: float,
+        roles: str | tuple[str, ...], pre_appraisal: AffectPair,
+    ) -> None:
+        self.id, self.deontic, self.plan, self.limit = id, deontic, plan, limit
+        self.relevance, self.roles, self.pre_appraisal = relevance, roles, pre_appraisal
 
     @classmethod
     def from_decl(cls, decl: NormDecl) -> "NormativeBelief":
         return cls(
-            id=norm_id(decl),
-            deontic=decl.deontic,
-            plan=decl.plan,
-            limit=decl.limit,
-            relevance=decl.relevance,
-            roles=decl.roles,
-            pre_appraisal=decl.pre_appraisal,
+            norm_id(decl), decl.deontic, decl.plan, decl.limit, decl.relevance, decl.roles, decl.pre_appraisal
         )
 
 
@@ -114,32 +108,35 @@ def norm_id(decl: NormDecl) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass
-class IntendedMeans:
-    plan: PlanDef
-    remaining: list  # list[BodyStep] still to execute
+class IntendedMeans(Record):
+    __slots__ = _fields = ("plan", "remaining")
+
+    def __init__(self, plan: PlanDef, remaining: list) -> None:
+        self.plan, self.remaining = plan, remaining  # remaining: list[BodyStep] still to execute
 
 
-@dataclass
-class Intention:
-    iid: int
-    stack: list  # list[IntendedMeans], top is last
+class Intention(Record):
+    __slots__ = _fields = ("iid", "stack")
+
+    def __init__(self, iid: int, stack: list) -> None:
+        self.iid, self.stack = iid, stack  # stack: list[IntendedMeans], top is last
 
     def top(self) -> IntendedMeans | None:
         return self.stack[-1] if self.stack else None
 
 
-@dataclass
-class Event:
-    trigger: TriggerEvent
-    intention: Intention | None = None  # None = external (top)
+class Event(Record):
+    __slots__ = _fields = ("trigger", "intention")
+
+    def __init__(self, trigger: TriggerEvent, intention: Intention | None = None) -> None:
+        self.trigger, self.intention = trigger, intention  # intention None: external (top)
 
 
-@dataclass
-class Circumstance:
-    I: list = field(default_factory=list)  # noqa: E741 - the canonical field name
-    E: list = field(default_factory=list)
-    A: list = field(default_factory=list)
+class Circumstance(Record):
+    __slots__ = _fields = ("I", "E", "A")
+
+    def __init__(self) -> None:
+        self.I, self.E, self.A = [], [], []  # noqa: E741 - the canonical field name
 
 
 class Ilf(Enum):
@@ -147,30 +144,32 @@ class Ilf(Enum):
     Untell = "Untell"
 
 
-@dataclass
-class Message:
-    mid: int
-    sender: str
-    ilf: Ilf
-    content: str
-    norm: str | None = None  # norm-annotation: id of the referenced norm
-    appraisal: AffectPair | None = None
-    recipient: str = ""  # routing only; "ALL" or agent id or role name
+class Message(Record):
+    """*norm* is the norm-annotation (id of the referenced norm); *recipient*
+    is for routing only: "ALL", an agent id or a role name."""
+
+    __slots__ = _fields = ("mid", "sender", "ilf", "content", "norm", "appraisal", "recipient")
+
+    def __init__(
+        self, mid: int, sender: str, ilf: Ilf, content: str, norm: str | None = None,
+        appraisal: AffectPair | None = None, recipient: str = "",
+    ) -> None:
+        self.mid, self.sender, self.ilf, self.content = mid, sender, ilf, content
+        self.norm, self.appraisal, self.recipient = norm, appraisal, recipient
 
 
-@dataclass
-class Mailboxes:
-    In: list = field(default_factory=list)
-    Out: list = field(default_factory=list)
+class Mailboxes(Record):
+    __slots__ = _fields = ("In", "Out")
+
+    def __init__(self) -> None:
+        self.In, self.Out = [], []
 
 
-@dataclass
-class TemporaryInfo:
-    R: list = field(default_factory=list)
-    Ap: list = field(default_factory=list)
-    iota: Intention | None = None
-    epsilon: Event | None = None
-    rho: PlanDef | None = None
+class TemporaryInfo(Record):
+    __slots__ = _fields = ("R", "Ap", "iota", "epsilon", "rho")
+
+    def __init__(self) -> None:
+        self.reset()
 
     def reset(self) -> None:
         self.R = []
@@ -186,33 +185,42 @@ class UbKind(Enum):
     APPRAISE = "appraise"
 
 
-@dataclass
-class UbEntry:
-    """One pending belief-base / appraisal update, applied at AffModB."""
+class UbEntry(Record):
+    """One pending belief-base / appraisal update, applied at AffModB.
+    *source* None on a deletion removes every source's copy."""
 
-    kind: UbKind
-    literal: Literal | None = None
-    source: str | None = SOURCE_SELF  # None on a deletion: every source's copy
-    pair: AffectPair | None = None
-    norm_id: str | None = None
-    variant: str | None = None
+    __slots__ = _fields = ("kind", "literal", "source", "pair", "norm_id", "variant")
 
-
-@dataclass
-class AppraisalVariables:
-    desirability: float = 0.0
-    likelihood: float = 1.0
-    expectedness: float = 0.0
-    controllability: float = 1.0
-    causal_attribution: int = 0  # 1 = self-caused
+    def __init__(
+        self, kind: UbKind, literal: Literal | None = None, source: str | None = SOURCE_SELF,
+        pair: AffectPair | None = None, norm_id: str | None = None, variant: str | None = None,
+    ) -> None:
+        self.kind, self.literal, self.source = kind, literal, source
+        self.pair, self.norm_id, self.variant = pair, norm_id, variant
 
 
-@dataclass
-class AffectiveTemp:
-    Ub: list = field(default_factory=list)  # list[UbEntry]
-    Av: AppraisalVariables | None = None
-    Cs: list = field(default_factory=list)  # selected coping strategies
-    sigma: AffectPair = (0.0, 0.0)
+class AppraisalVariables(Record):
+    __slots__ = _fields = (
+        "desirability", "likelihood", "expectedness", "controllability", "causal_attribution"
+    )
+
+    def __init__(
+        self, desirability: float = 0.0, likelihood: float = 1.0, expectedness: float = 0.0,
+        controllability: float = 1.0, causal_attribution: int = 0,
+    ) -> None:
+        self.desirability, self.likelihood, self.expectedness = desirability, likelihood, expectedness
+        self.controllability = controllability
+        self.causal_attribution = causal_attribution  # 1 = self-caused
+
+
+class AffectiveTemp(Record):
+    __slots__ = _fields = ("Ub", "Av", "Cs", "sigma")
+
+    def __init__(self) -> None:
+        self.Ub: list = []  # list[UbEntry]
+        self.Av: AppraisalVariables | None = None
+        self.Cs: list = []  # selected coping strategies
+        self.sigma: AffectPair = (0.0, 0.0)
 
 
 class MemKind(Enum):
@@ -223,60 +231,72 @@ class MemKind(Enum):
     SOCIAL_FEEDBACK = "social-feedback"
 
 
-@dataclass
-class MemoryEvent:
-    tick: int
-    kind: MemKind
-    pair: AffectPair
-    norm_id: str | None = None
-    source: str = SOURCE_SELF
-    divisor: int = 1  # society-sourced pairs divide by the agent count
-    applied: bool = False  # True once the pair has reached sigma
-    appraised: bool = False  # True once the appraisal step has seen the entry
+class MemoryEvent(Record):
+    """*divisor*: society-sourced pairs divide by the agent count; *applied*:
+    the pair has reached sigma; *appraised*: the appraisal step has seen
+    the entry."""
+
+    __slots__ = _fields = ("tick", "kind", "pair", "norm_id", "source", "divisor", "applied", "appraised")
+
+    def __init__(
+        self, tick: int, kind: MemKind, pair: AffectPair, norm_id: str | None = None, source: str = SOURCE_SELF,
+        divisor: int = 1, applied: bool = False, appraised: bool = False,
+    ) -> None:
+        self.tick, self.kind, self.pair, self.norm_id, self.source = tick, kind, pair, norm_id, source
+        self.divisor, self.applied, self.appraised = divisor, applied, appraised
 
 
-@dataclass
-class FeedbackRecord:
+class FeedbackRecord(Record):
     """Accumulated social feedback for one belief-condition set."""
 
-    condition: frozenset  # frozenset[tuple[str, bool]]: (literal text, present?)
-    accumulated: AffectPair = (0.0, 0.0)
-    count: int = 0
-    # what the last social-norm detection that flagged nothing read; None
-    # until then (see cycle.run_affective_cycle)
-    settled: tuple | None = field(default=None, repr=False, compare=False)
+    _fields = ("condition", "accumulated", "count")  # compared and shown
+    __slots__ = _fields + ("settled",)
+
+    def __init__(
+        self, condition: frozenset, accumulated: AffectPair = (0.0, 0.0), count: int = 0,
+        settled: tuple | None = None,
+    ) -> None:
+        self.condition = condition  # frozenset[tuple[str, bool]]: (literal text, present?)
+        self.accumulated, self.count = accumulated, count
+        # what the last social-norm detection that flagged nothing read; None
+        # until then (see cycle.run_affective_cycle)
+        self.settled = settled
 
 
-@dataclass
-class AgentConfig:
+class AgentConfig(Record):
     """Full runtime configuration of one agent."""
 
-    id: str
-    bs: dict = field(default_factory=dict)  # Literal -> set of sources
-    ps: list = field(default_factory=list)  # list[PlanDef]
-    cc: tuple = ()  # concerns
-    P: PersonalityDecl = field(default_factory=PersonalityDecl)
-    NB: list = field(default_factory=list)  # list[NormativeBelief]
-    C: Circumstance = field(default_factory=Circumstance)
-    M: Mailboxes = field(default_factory=Mailboxes)
-    T: TemporaryInfo = field(default_factory=TemporaryInfo)
-    Mem: list = field(default_factory=list)  # list[MemoryEvent]
-    Ta: AffectiveTemp = field(default_factory=AffectiveTemp)
-    s: StepLabel = StepLabel.Perceive
-    ast: AffectiveStepLabel = AffectiveStepLabel.Appr
-    roles: tuple = ()
-    cycle: int = 0  # completed reasoning cycles (ticks)
-    relevance_threshold: float = 25.0
-    feedback: dict = field(default_factory=dict)  # condition -> FeedbackRecord
-    _next_iid: int = 0
-    # index of the first Mem entry the affective pass has not yet seen
-    mem_cursor: int = field(default=0, repr=False, compare=False)
-    # bumped by each write to ps: norm adoption and plan revision
-    plan_version: int = field(default=0, repr=False, compare=False)
-    # sorted texts of the held literals, and the same as a set; None once
-    # the held literals change, rebuilt on the next read
-    _texts: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _text_set: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+    _fields = (  # compared and shown
+        "id", "bs", "ps", "cc", "P", "NB", "C", "M", "T", "Mem", "Ta",
+        "s", "ast", "roles", "cycle", "relevance_threshold", "feedback", "_next_iid",
+    )
+    __slots__ = _fields + ("mem_cursor", "plan_version", "_texts", "_text_set")
+
+    def __init__(
+        self, id: str, bs: dict | None = None, ps: list | None = None, cc: tuple = (),
+        P: PersonalityDecl | None = None, roles: tuple = (), relevance_threshold: float = 25.0,
+    ) -> None:
+        """The declared parts; the runtime state starts empty (s=Perceive,
+        ast=Appr, sigma=(0,0))."""
+        self.id, self.cc, self.roles, self.relevance_threshold = id, cc, roles, relevance_threshold
+        self.bs = {} if bs is None else bs  # Literal -> set of sources
+        self.ps = [] if ps is None else ps  # list[PlanDef]
+        self.P = PersonalityDecl() if P is None else P
+        self.NB: list[NormativeBelief] = []
+        self.C, self.M, self.T, self.Ta = Circumstance(), Mailboxes(), TemporaryInfo(), AffectiveTemp()
+        self.Mem: list[MemoryEvent] = []
+        self.s, self.ast = StepLabel.Perceive, AffectiveStepLabel.Appr
+        self.cycle = 0  # completed reasoning cycles (ticks)
+        self.feedback: dict = {}  # condition -> FeedbackRecord
+        self._next_iid = 0
+        # index of the first Mem entry the affective pass has not yet seen
+        self.mem_cursor = 0
+        # bumped by each write to ps: norm adoption and plan revision
+        self.plan_version = 0
+        # sorted texts of the held literals, and the same as a set; None once
+        # the held literals change, rebuilt on the next read
+        self._texts: tuple | None = None
+        self._text_set: frozenset = frozenset()
 
     # -- belief-base helpers -------------------------------------------
     # add_belief / remove_belief are the only writers of bs, so no literal

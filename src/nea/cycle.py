@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .affect import (
     affect_decay,
@@ -86,7 +85,6 @@ from .core import (
     StepLabel,
     UbEntry,
     UbKind,
-    norm_id,
     scalar_mood,
 )
 from .lang import (
@@ -119,6 +117,7 @@ from .norms import (
     relevance_decay,
     select_intention,
 )
+from .record import Record
 
 #: Pseudo-recipient for compliance/violation announcements.  The society
 #: harness routes messages addressed here to watching agents instead of
@@ -162,8 +161,7 @@ class InterpreterFault(RuntimeError):
         self.reason = reason
 
 
-@dataclass
-class EnvironmentView:
+class EnvironmentView(Record):
     """What one agent can see of the world during a single tick.
 
     ``fraction`` maps a norm's affected-roles spec ("ALL" or a role tuple)
@@ -172,16 +170,22 @@ class EnvironmentView:
     test applied before a mailbox message is processed (default: accept).
     """
 
-    tick: int = 0
-    n_agents: int = 1
-    percepts: set = field(default_factory=set)
-    fraction: object = None  # callable: roles-spec -> float
-    socacc: object = None  # callable: (agent, message) -> bool
-    relevance_weight: float = 1.0
-    delta: float = 0.1
-    decay_affect: float = 0.05
-    decay_relevance: float = 0.05
-    deviation_threshold: AffectPair = (0.5, 0.5)
+    __slots__ = _fields = (
+        "tick", "n_agents", "percepts", "fraction", "socacc", "relevance_weight",
+        "delta", "decay_affect", "decay_relevance", "deviation_threshold",
+    )
+
+    def __init__(
+        self, tick: int = 0, n_agents: int = 1, percepts: set | None = None, fraction=None, socacc=None,
+        relevance_weight: float = 1.0, delta: float = 0.1, decay_affect: float = 0.05,
+        decay_relevance: float = 0.05, deviation_threshold: AffectPair = (0.5, 0.5),
+    ) -> None:
+        self.tick, self.n_agents = tick, n_agents
+        self.percepts = set() if percepts is None else percepts
+        self.fraction = fraction  # callable: roles-spec -> float
+        self.socacc = socacc  # callable: (agent, message) -> bool
+        self.relevance_weight, self.delta, self.decay_affect = relevance_weight, delta, decay_affect
+        self.decay_relevance, self.deviation_threshold = decay_relevance, deviation_threshold
 
     def fraction_affected(self, roles) -> float:
         if self.fraction is None:
@@ -194,15 +198,14 @@ class EnvironmentView:
         return self.socacc(agent, message)
 
 
-@dataclass
-class TraceEntry:
+class TraceEntry(Record):
     """One executed step, for the run trace."""
 
-    tick: int
-    agent: str
-    step: str
-    summary: str
-    payload: dict = field(default_factory=dict)
+    __slots__ = _fields = ("tick", "agent", "step", "summary", "payload")
+
+    def __init__(self, tick: int, agent: str, step: str, summary: str, payload: dict | None = None) -> None:
+        self.tick, self.agent, self.step, self.summary = tick, agent, step, summary
+        self.payload = {} if payload is None else payload
 
     def text(self) -> str:
         return f"{self.tick}\t{self.agent}\t{self.step}\t{self.summary}"
@@ -218,14 +221,13 @@ def _entry(agent: AgentConfig, env: EnvironmentView, step_name: str, summary: st
 
 def _adopt_norm(agent: AgentConfig, decl) -> str | None:
     """Register a norm declaration; returns its id, or None when already held."""
-    nid = norm_id(decl)
-    if agent.find_norm(nid) is not None:
+    nb = NormativeBelief.from_decl(decl)  # hashes the norm text once
+    if agent.find_norm(nb.id) is not None:
         return None
-    nb = NormativeBelief.from_decl(decl)
     agent.NB.append(nb)
     gen_norm_plans(agent.ps, nb)
     agent.plan_version += 1
-    return nid
+    return nb.id
 
 
 def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -787,15 +789,14 @@ def _quiet(agent: AgentConfig, env: EnvironmentView) -> bool:
     return True
 
 
-@dataclass(slots=True)
-class QuietTick:
+class QuietTick(Record):
     """A quiet agent-tick, in place of its sixteen entries: the fifteen of
     ``_QUIET_ROWS`` (*upas* is the UpAs summary) and the *decay* entry."""
 
-    tick: int
-    agent: str
-    upas: str
-    decay: TraceEntry
+    __slots__ = _fields = ("tick", "agent", "upas", "decay")
+
+    def __init__(self, tick: int, agent: str, upas: str, decay: TraceEntry) -> None:
+        self.tick, self.agent, self.upas, self.decay = tick, agent, upas, decay
 
     def entries(self) -> list[TraceEntry]:
         """The sixteen entries this record stands for, with fresh payloads."""

@@ -11,10 +11,9 @@ step, ``nea sweep`` and the tests all call these three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import AffectPair, Intention, MemKind, NormativeBelief, clamp_pair, scalar_mood
 from .lang import AFFECT_FUNCTOR, BodyStep, Literal, PlanDef, StepKind
+from .record import Frozen
 
 COMPLY = "comply"
 BREAK = "break"
@@ -128,8 +127,7 @@ def anticipated_mood(sigma: AffectPair, pre_appraisal: AffectPair) -> float:
     return scalar_mood(clamp_pair((sigma[0] + pre_appraisal[0], sigma[1] + pre_appraisal[1])))
 
 
-@dataclass(frozen=True)
-class UtilityInputs:
+class UtilityInputs(Frozen):
     """Inputs of the comply/break decision.
 
     reb — rebelliousness level of the agent, in [0,1];
@@ -138,11 +136,15 @@ class UtilityInputs:
     relevance — current relevance of the norm (>= 0).
     """
 
-    reb: float
-    frac_affected: float
-    s: float
-    s_new: float
-    relevance: float
+    __slots__ = _fields = ("reb", "frac_affected", "s", "s_new", "relevance")
+
+    def __init__(self, reb: float, frac_affected: float, s: float, s_new: float, relevance: float) -> None:
+        _set = object.__setattr__
+        _set(self, "reb", reb)
+        _set(self, "frac_affected", frac_affected)
+        _set(self, "s", s)
+        _set(self, "s_new", s_new)
+        _set(self, "relevance", relevance)
 
 
 def compliance_utility(u: UtilityInputs, *, relevance_weight: float = 1.0) -> tuple[float, float]:

@@ -25,9 +25,8 @@ import json
 import random
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from io import TextIOBase  # not typing.TextIO: importing typing costs ~3 ms
 from pathlib import Path
-from typing import TextIO
 
 from .core import (
     AgentConfig,
@@ -53,6 +52,7 @@ from .lang import (
     render_feedback,
     render_literal,
 )
+from .record import Record
 
 #: Broadcast pseudo-recipient: everyone except the sender.
 BROADCAST = "ALL"
@@ -127,13 +127,16 @@ def _strings(value, key: str) -> tuple:
     return items
 
 
-@dataclass
-class PerceptPulse:
-    agents: tuple[str, ...]
-    literal: Literal
-    at: int | None = None  # one-shot tick
-    start: int | None = None  # periodic: first tick
-    period: int | None = None
+class PerceptPulse(Record):
+    """Fires once at tick *at*, or every *period* ticks from *start*."""
+
+    __slots__ = _fields = ("agents", "literal", "at", "start", "period")
+
+    def __init__(
+        self, agents: tuple[str, ...], literal: Literal, at: int | None = None,
+        start: int | None = None, period: int | None = None,
+    ) -> None:
+        self.agents, self.literal, self.at, self.start, self.period = agents, literal, at, start, period
 
     def fires(self, t: int) -> bool:
         if self.at is not None:
@@ -141,33 +144,43 @@ class PerceptPulse:
         return t >= self.start and (t - self.start) % self.period == 0
 
 
-@dataclass
-class ObserverPolicy:
+class ObserverPolicy(Record):
     """Harness-level observation fabric configuration."""
 
-    public: tuple[str, ...] = ()  # functors visible in the public digest
-    authority: str | None = None  # agent answering norm announcements
-    reactions: dict = field(default_factory=dict)  # variant -> appraisal pair
-    observers: tuple[str, ...] = ()  # agents judging the public state
-    condition: tuple[str, ...] = ()  # literal texts of the punished state
-    pair: tuple[float, float] = (0.0, 0.0)  # feedback appraisal
-    target_roles: tuple[str, ...] = ()  # roles whose holders are watched
+    __slots__ = _fields = ("public", "authority", "reactions", "observers", "condition", "pair", "target_roles")
+
+    def __init__(
+        self, public: tuple[str, ...] = (), authority: str | None = None, reactions: dict | None = None,
+        observers: tuple[str, ...] = (), condition: tuple[str, ...] = (),
+        pair: tuple[float, float] = (0.0, 0.0), target_roles: tuple[str, ...] = (),
+    ) -> None:
+        self.public = public  # functors visible in the public digest
+        self.authority = authority  # agent answering norm announcements
+        self.reactions = {} if reactions is None else reactions  # variant -> appraisal pair
+        self.observers = observers  # agents judging the public state
+        self.condition = condition  # literal texts of the punished state
+        self.pair = pair  # feedback appraisal
+        self.target_roles = target_roles  # roles whose holders are watched
 
 
-@dataclass
-class ScenarioConfig:
-    name: str
-    ticks: int
-    seed: int
-    agents: list[dict]  # {"id", "program" (source text), "roles"}
-    pulses: list[PerceptPulse]
-    observation: ObserverPolicy
-    delta: float = 0.1
-    relevance_weight: float = 1.0
-    relevance_threshold: float = 25.0
-    decay_affect: float = 0.05
-    decay_relevance: float = 0.05
-    deviation_threshold: tuple[float, float] = (0.5, 0.5)
+class ScenarioConfig(Record):
+    __slots__ = _fields = (
+        "name", "ticks", "seed", "agents", "pulses", "observation", "delta", "relevance_weight",
+        "relevance_threshold", "decay_affect", "decay_relevance", "deviation_threshold",
+    )
+
+    def __init__(
+        self, name: str, ticks: int, seed: int, agents: list[dict], pulses: list[PerceptPulse],
+        observation: ObserverPolicy, delta: float = 0.1, relevance_weight: float = 1.0,
+        relevance_threshold: float = 25.0, decay_affect: float = 0.05, decay_relevance: float = 0.05,
+        deviation_threshold: tuple[float, float] = (0.5, 0.5),
+    ) -> None:
+        self.name, self.ticks, self.seed = name, ticks, seed
+        self.agents = agents  # {"id", "program" (source text), "roles"}
+        self.pulses, self.observation = pulses, observation
+        self.delta, self.relevance_weight, self.decay_affect = delta, relevance_weight, decay_affect
+        self.relevance_threshold, self.decay_relevance = relevance_threshold, decay_relevance
+        self.deviation_threshold = deviation_threshold
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
@@ -200,7 +213,7 @@ class ScenarioConfig:
             if not isinstance(spec, dict) or "id" not in spec or "program" not in spec:
                 raise ScenarioError("each agent needs an id and a program")
             if not isinstance(spec["id"], str):
-                raise ScenarioError(f"agent id {spec['id']!r} must be a string")
+                raise ScenarioError(f"scenario 'agents[{i}].id' must be a string, got {spec['id']!r}")
             if spec["id"] == BROADCAST:
                 raise ScenarioError(f"scenario 'agents[{i}].id' {BROADCAST!r} names every agent")
             if spec["id"] == OBSERVER_CHANNEL:
@@ -281,21 +294,21 @@ class ScenarioConfig:
             if obs not in seen:
                 raise ScenarioError(f"observer {obs!r} is not an agent")
         for i, text in enumerate(observation.condition):
+            key = f"observation.feedback.condition[{i}]"
             if not isinstance(text, str):
-                raise ScenarioError(f"observation.feedback.condition {text!r} must be a string")
+                raise ScenarioError(f"scenario '{key}' must be a string, got {text!r}")
             try:
                 lit = parse_literal_text(text)
             except LangError as exc:
-                raise ScenarioError(f"observation.feedback.condition {text!r}: {exc}") from exc
+                raise ScenarioError(f"scenario '{key}' {text!r}: {exc}") from exc
             if lit.args:
                 raise ScenarioError(
-                    f"scenario 'observation.feedback.condition[{i}]' {text!r} must be a bare name: "
+                    f"scenario '{key}' {text!r} must be a bare name: "
                     "the feedback wire format carries no arguments"
                 )
             if lit.functor not in observation.public:
                 raise ScenarioError(
-                    f"observation.feedback.condition {text!r} is not public "
-                    f"(observation.public: {list(observation.public)})"
+                    f"scenario '{key}' {text!r} is not public (observation.public: {list(observation.public)})"
                 )
 
         params = _object(raw.get("params", {}), "params")
@@ -353,11 +366,11 @@ TraceItem = TraceEntry | QuietTick
 Sink = Callable[[list[TraceItem], list[MetricsRow]], None]
 
 
-@dataclass
-class RunResult:
-    trace: list[TraceEntry]
-    metrics: list[MetricsRow]
-    roster: dict[str, AgentConfig]
+class RunResult(Record):
+    __slots__ = _fields = ("trace", "metrics", "roster")
+
+    def __init__(self, trace: list[TraceEntry], metrics: list[MetricsRow], roster: dict[str, AgentConfig]):
+        self.trace, self.metrics, self.roster = trace, metrics, roster
 
 
 class Society:
@@ -599,7 +612,7 @@ def _announced_variant(message: Message) -> str:
 # writers
 
 
-def write_metrics(rows: list[MetricsRow], fh: TextIO) -> None:
+def write_metrics(rows: list[MetricsRow], fh: TextIOBase) -> None:
     """Append CSV rows; the header is the row ``METRICS_COLUMNS``.  *fh* is
     opened with ``newline=""``, as the csv module asks."""
     csv.writer(fh).writerows(rows)
@@ -632,7 +645,7 @@ def _quiet_template(agent: str, line: Callable[[TraceEntry], str], split) -> tup
     return (*pieces[:at], before), (after, *pieces[at + 1 :])
 
 
-def _write_items(trace: list[TraceItem], fh: TextIO, line: Callable[[TraceEntry], str], template) -> None:
+def _write_items(trace: list[TraceItem], fh: TextIOBase, line: Callable[[TraceEntry], str], template) -> None:
     """Write *line* of each entry; a ``QuietTick`` from *template* (its
     agent's ``_quiet_template``), then its decay entry's line."""
 
@@ -657,13 +670,13 @@ def _text_template(agent: str) -> tuple[tuple, tuple]:
     return _quiet_template(agent, _text_line, str.partition)
 
 
-def write_trace_text(trace: list[TraceItem], fh: TextIO) -> None:
+def write_trace_text(trace: list[TraceItem], fh: TextIOBase) -> None:
     """Append one ``TraceEntry.text()`` line per entry, sixteen per
     ``QuietTick``."""
     _write_items(trace, fh, _text_line, _text_template)
 
 
-def write_trace_meta(meta: dict, fh: TextIO) -> None:
+def write_trace_meta(meta: dict, fh: TextIOBase) -> None:
     """Write the structured trace's first line."""
     fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
 
@@ -718,6 +731,6 @@ def _structured_template(agent: str) -> tuple[tuple, tuple]:
     return _quiet_template(agent, _structured_line, str.rpartition)
 
 
-def write_trace_structured(trace: list[TraceItem], fh: TextIO) -> None:
+def write_trace_structured(trace: list[TraceItem], fh: TextIOBase) -> None:
     """Append one JSON record per entry, sixteen per ``QuietTick``."""
     _write_items(trace, fh, _structured_line, _structured_template)

@@ -278,6 +278,11 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
             lambda spec: spec["observation"]["feedback"]["condition"].append("in_campus(1)"),
             "observation.feedback.condition[2]",
         ),
+        # a watched literal must be one the public digest shows
+        (
+            lambda spec: spec["observation"]["feedback"]["condition"].insert(0, "hat_on"),
+            "observation.feedback.condition[0]",
+        ),
     ],
     ids=[
         "<lambda>-params.delta",
@@ -293,6 +298,7 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
         "<lambda>-name",
         "<lambda>-agents[0].id",
         "<lambda>-observation.feedback.condition[2]",
+        "<lambda>-observation.feedback.condition[0]-not-public",
     ],
 )
 def test_run_malformed_field_exits_2(tmp_path, capsys, edit, key):

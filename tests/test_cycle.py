@@ -4,7 +4,6 @@ routing, intention execution, the affective pass, and the decay pass."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import random
 from collections import Counter, defaultdict
@@ -50,6 +49,8 @@ from nea.cycle import (
 )
 from nea.lang import (
     Literal,
+    PersonalityDecl,
+    PlanDef,
     StepKind,
     Sym,
     parse_literal_text,
@@ -87,7 +88,8 @@ def adopt_mask_norm(agent, env) -> str:
 
 
 def set_rebelliousness(agent, value: float) -> None:
-    agent.P = dataclasses.replace(agent.P, rebelliousness=value)
+    P = agent.P
+    agent.P = PersonalityDecl(P.traits, P.rationality, P.coping, rebelliousness=value)
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +189,8 @@ def _negative_relevance(agent, env):
 
 
 def _unknown_norm_plan(agent, env):
-    agent.ps.append(dataclasses.replace(agent.ps[0], norm_id="ghost"))
+    p = agent.ps[0]
+    agent.ps.append(PlanDef(p.trigger, p.context, p.body, p.label, p.normative, norm_id="ghost", variant=p.variant))
 
 
 def _empty_intention(agent, env):
@@ -410,6 +413,18 @@ def test_malformed_norm_message_faults(content):
         process_message(agent, msg(content), make_env())
     assert info.value.step == "ProcMsg"
     assert agent.bs == beliefs and agent.NB == norms
+
+
+def test_agents_adopting_one_norm_share_its_plan():
+    first, second = build_agent(PATROL_SOURCE, "a1"), build_agent(PATROL_SOURCE, "a2")
+    for agent in (first, second):
+        process_message(agent, msg(MASK_NORM_MSG, sender="rectorate"), make_env())
+    assert first.NB[0].id == second.NB[0].id
+    assert first.NB[0].plan is second.NB[0].plan  # one parse of the plan text
+    bad = 'norm(obligation, "np__ +x <- ", 0, 1, "ALL", [0.1,0.1])'  # the plan does not parse
+    for agent in (first, second):
+        with pytest.raises(InterpreterFault, match="embedded normative plan does not parse"):
+            process_message(agent, msg(bad), make_env())
 
 
 # ----------------------------------------------------------------------

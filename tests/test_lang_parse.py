@@ -85,6 +85,15 @@ def test_token_shapes(text, expected):
     assert toks[-1].type is TokenType.EOF
 
 
+@pytest.mark.parametrize("pair", ['\\"', "\\\\"], ids=["quotes", "backslashes"])
+def test_megabyte_of_escapes_is_one_string(pair):
+    # scanned outside the token pattern: a repeat per escape there keeps one
+    # backtracking state per escape (about 140 MB for this text)
+    toks = tokenize('"' + pair * 2**19 + '" x')
+    assert [(t.type.name, t.line, t.col) for t in toks[:2]] == [("STRING", 1, 1), ("IDENT", 1, 2**20 + 4)]
+    assert toks[0].value == pair[1] * 2**19
+
+
 @pytest.mark.parametrize(
     "text, message, line, col",
     [

@@ -93,14 +93,23 @@ def test_scenario_loads_builtin():
         ({"observation": {"reactions": {"comply": [0.6]}}}, "reactions.comply' must be a pair"),
         ({"observation": {"feedback": {"pair": [0.1, 0.2, 0.3]}}}, "feedback.pair' must be a pair"),
         ({"params": {"deviation_threshold": ["a", 0.5]}}, "deviation_threshold' must be a pair"),
-        ({"agents": [{"id": 7, "program": "x.\n"}]}, "must be a string"),
-        ({"observation": {"feedback": {"condition": ["wearing_mask"]}}}, "is not public"),
+        ({"agents": [{"id": 7, "program": "x.\n"}]}, "'agents\\[0\\].id' must be a string, got 7"),
+        (
+            {"observation": {"feedback": {"condition": ["wearing_mask"]}}},
+            "'observation.feedback.condition\\[0\\]' 'wearing_mask' is not public",
+        ),
         (
             {"observation": {"public": ["in_campus"], "feedback": {"condition": ["in_campus", "wearing_mask"]}}},
-            "'wearing_mask' is not public",
+            "'observation.feedback.condition\\[1\\]' 'wearing_mask' is not public",
         ),
-        ({"observation": {"public": ["x"], "feedback": {"condition": ["x("]}}}, "condition 'x\\(':"),
-        ({"observation": {"public": ["x"], "feedback": {"condition": [3]}}}, "must be a string"),
+        (
+            {"observation": {"public": ["x"], "feedback": {"condition": ["x("]}}},
+            "'observation.feedback.condition\\[0\\]' 'x\\(':",
+        ),
+        (
+            {"observation": {"public": ["x"], "feedback": {"condition": [3]}}},
+            "'observation.feedback.condition\\[0\\]' must be a string, got 3",
+        ),
         ({"ticks": -3}, "'ticks' must not be negative"),
         ({"ticks": True}, "'ticks' must be an integer"),
         ({"seed": "abc"}, "'seed' must be an integer"),
