@@ -85,6 +85,7 @@ from .core import (
     StepLabel,
     UbEntry,
     UbKind,
+    norm_id,
     scalar_mood,
 )
 from .lang import (
@@ -219,15 +220,27 @@ def _entry(agent: AgentConfig, env: EnvironmentView, step_name: str, summary: st
 # normative pass: one function per step label
 
 
-def _adopt_norm(agent: AgentConfig, decl) -> str | None:
-    """Register a norm declaration; returns its id, or None when already held."""
-    nb = NormativeBelief.from_decl(decl)  # hashes the norm text once
-    if agent.find_norm(nb.id) is not None:
+@functools.lru_cache(maxsize=256)
+def _declared_norm(text: str, lit: Literal) -> tuple:
+    """The ``NormDecl`` of the norm literal *lit* and its id.  Every agent
+    that perceives or is told one norm shares one validation and one hash;
+    the key holds *lit*'s canonical *text* too, because equal literals can
+    render apart (``0.0`` and ``-0.0``) and so have different ids.  A
+    malformed norm raises ``LangError`` and is not cached."""
+    decl = norm_from_literal(lit)
+    return decl, norm_id(decl)
+
+
+def _adopt_norm(agent: AgentConfig, decl, nid: str) -> str | None:
+    """Register a norm declaration under its id *nid*; returns the id, or
+    None when already held.  The ``NormativeBelief`` is the agent's own."""
+    if agent.find_norm(nid) is not None:
         return None
+    nb = NormativeBelief(nid, decl.deontic, decl.plan, decl.limit, decl.relevance, decl.roles, decl.pre_appraisal)
     agent.NB.append(nb)
     gen_norm_plans(agent.ps, nb)
     agent.plan_version += 1
-    return nb.id
+    return nid
 
 
 def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -238,10 +251,10 @@ def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         queue_belief_add(agent, lit, SOURCE_PERCEPT)
         if lit.functor == "norm":
             try:
-                decl = norm_from_literal(lit)
+                norm = _declared_norm(lit.text, lit)
             except LangError as exc:
                 raise InterpreterFault(agent.id, "Perceive", f"bad norm percept: {exc}") from exc
-            nid = _adopt_norm(agent, decl)
+            nid = _adopt_norm(agent, *norm)
             if nid:
                 adopted.append(nid)
     for lit in sorted(rem_p, key=render_literal):
@@ -334,10 +347,10 @@ def process_message(
     lit = _content_literal(agent, content)
     if lit.functor == "norm":
         try:
-            decl = norm_from_literal(lit)
+            norm = _declared_norm(lit.text, lit)
         except LangError as exc:
             raise InterpreterFault(agent.id, "ProcMsg", f"bad norm message {content!r}: {exc}") from exc
-        nid = _adopt_norm(agent, decl)
+        nid = _adopt_norm(agent, *norm)
         summary, payload = f"norm from {message.sender}: " + (nid or "already held"), {"adopted": nid}
     else:
         summary, payload = f"tell {content} from {message.sender}", {}

@@ -503,10 +503,14 @@ def norm_from_literal(lit: Literal, line: int | None = None, col: int | None = N
 # public entry points
 
 
+@functools.lru_cache(maxsize=64)
 def parse_agent_program(text: str) -> AgentProgram:
     """Parse a full agent definition.
 
     Raises LexError / ParseError / SemanticError with 1-based positions.
+    A society runs many agents from a few programs, so each text is parsed
+    once; an ``AgentProgram`` is immutable, and a text that fails to parse
+    is not cached.
     """
     return Parser(tokenize(text)).parse_program()
 

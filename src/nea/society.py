@@ -209,6 +209,7 @@ class ScenarioConfig(Record):
             raise ScenarioError("scenario declares no agents")
         agents: list[dict] = []
         seen: set[str] = set()
+        texts: dict[str, str] = {}  # each program file, read once, by its name as written
         for i, spec in enumerate(agents_raw):
             if not isinstance(spec, dict) or "id" not in spec or "program" not in spec:
                 raise ScenarioError("each agent needs an id and a program")
@@ -229,10 +230,12 @@ class ScenarioConfig(Record):
             if source.endswith(".nea"):
                 if base is None:
                     raise ScenarioError("program file paths need a scenario directory")
-                try:
-                    source = (base / source).read_text(encoding="utf-8")
-                except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in the name
-                    raise ScenarioError(f"scenario 'agents[{i}].program': {exc}") from exc
+                if source not in texts:
+                    try:
+                        texts[source] = (base / source).read_text(encoding="utf-8")
+                    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in the name
+                        raise ScenarioError(f"scenario 'agents[{i}].program': {exc}") from exc
+                source = texts[source]
             agents.append(
                 {
                     "id": spec["id"],
@@ -549,6 +552,10 @@ class Society:
         except InterpreterFault as exc:
             exc.tick = t
             raise
+        except Exception as exc:  # a bug in a step: report it as a fault, not a traceback
+            fault = InterpreterFault(aid, agent.s.value, f"{type(exc).__name__}: {exc}")
+            fault.tick = t
+            raise fault from exc
         # 3. the observation fabric reacts to what this tick produced
         self._authority_react(announcements)
         self._observers_react()

@@ -178,6 +178,24 @@ def test_run_fault_names_its_tick(tmp_path, monkeypatch, capsys):
     assert "interpreter fault: [" in err and "@ SelEv] injected (tick 5)" in err
 
 
+def test_run_error_in_a_step_is_a_fault_not_a_traceback(tmp_path, monkeypatch, capsys):
+    inner, failed = nea.cycle.step, []
+
+    def faulty(agent, env):
+        if env.tick == 5 and agent.s is StepLabel.SelEv:
+            failed.append(agent.id)
+            return 1 / 0
+        return inner(agent, env)
+
+    monkeypatch.setattr(nea.cycle, "step", faulty)
+    out = tmp_path / "out"
+    assert main(["run", "mask", "--ticks", "20", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"interpreter fault: [{failed[0]} @ SelEv] ZeroDivisionError: division by zero (tick 5)" in err
+    assert "Traceback" not in err
+    assert list(out.glob("*")) == []
+
+
 def test_run_unknown_recipient_faults(tmp_path, capsys):
     sender = "!go.\n+!go <- .sendMsg(nobody, hello)."
     scenario = tmp_path / "scenario.json"

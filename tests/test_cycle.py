@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nea.core
 import nea.cycle
 import nea.society
 from nea import builtin_scenario
@@ -427,6 +428,31 @@ def test_agents_adopting_one_norm_share_its_plan():
             process_message(agent, msg(bad), make_env())
 
 
+def test_agents_adopting_one_norm_render_it_once(monkeypatch):
+    renders = []
+    render_norm = nea.core.render_norm
+    monkeypatch.setattr(nea.core, "render_norm", lambda decl: renders.append(decl) or render_norm(decl))
+    nea.cycle._declared_norm.cache_clear()
+    first, second = build_agent(PATROL_SOURCE, "a1"), build_agent(PATROL_SOURCE, "a2")
+    for agent in (first, second):
+        process_message(agent, msg(MASK_NORM_MSG, sender="rectorate"), make_env())
+    assert len(renders) == 1  # one validation and one id for both agents
+    assert first.NB[0].id == second.NB[0].id == norm_id(parse_norm(MASK_NORM_MSG))
+    assert first.NB[0] is not second.NB[0]
+    first.NB[0].relevance += 5.0
+    assert second.NB[0].relevance == parse_norm(MASK_NORM_MSG).relevance
+
+
+def test_equal_norm_literals_that_render_apart_keep_their_ids():
+    texts = [MASK_NORM_MSG.replace("[0.3,0.1]", pa) for pa in ("[0.0,0.1]", "[-0.0,0.1]")]
+    assert parse_literal_text(texts[0]) == parse_literal_text(texts[1])
+    for i, text in enumerate(texts):
+        agent = build_agent(PATROL_SOURCE, f"a{i}")
+        process_message(agent, msg(text), make_env())
+        assert agent.NB[0].id == norm_id(parse_norm(text))
+    assert norm_id(parse_norm(texts[0])) != norm_id(parse_norm(texts[1]))
+
+
 # ----------------------------------------------------------------------
 # context evaluation
 
@@ -529,7 +555,7 @@ def test_cross_norm_attribution_fires_for_other_norms():
     ban = parse_norm(
         'norm("prohibition", "np__party : ready <- sing.", 0, 30.0, "ALL", [0.2,0.1])'
     )
-    _adopt_norm(agent, ban)
+    _adopt_norm(agent, ban, norm_id(ban))
     nid = agent.NB[0].id
 
     agent.M.In.append(msg("do_it", sender="peer"))
@@ -979,7 +1005,8 @@ def _flip_condition_literal(agent, env, record):
 
 
 def _adopt_a_norm(agent, env, record):
-    assert _adopt_norm(agent, parse_norm(EXIT_NORM_MSG)) is not None
+    decl = parse_norm(EXIT_NORM_MSG)
+    assert _adopt_norm(agent, decl, norm_id(decl)) is not None
 
 
 def _accumulate_more(agent, env, record):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 import nea.society
 from nea import builtin_scenario
-from nea.core import MemKind
-from nea.lang import Literal
+from nea.core import Event, MemKind
+from nea.lang import Literal, TriggerEvent, TriggerKind, TriggerType
 from nea.society import (
     METRICS_COLUMNS,
     PerceptPulse,
@@ -29,7 +30,7 @@ from nea.society import (
 )
 from nea.cycle import OBSERVER_CHANNEL, EnvironmentView, InterpreterFault, QuietTick, TraceEntry, expand
 
-from conftest import PATROL_SOURCE, build_agent
+from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent
 
 MINI = {
     "name": "mini",
@@ -330,6 +331,53 @@ def test_pulse_fires():
 
 
 # ----------------------------------------------------------------------
+# one read and one parse per distinct program
+
+NORMED_PATROL = PATROL_SOURCE + "\nnorms__: { " + MASK_NORM_TEXT + ". }.\n"
+
+
+def test_agents_from_one_program_share_its_plans_and_own_their_state():
+    agents = [{"id": aid, "program": NORMED_PATROL} for aid in ("a", "b")]
+    society = Society(ScenarioConfig.from_dict(raw(agents=agents)))
+    a, b = society.roster["a"], society.roster["b"]
+    assert a.ps and all(p is q for p, q in zip(a.ps, b.ps, strict=True))
+    assert a.NB[0].plan is b.NB[0].plan and a.NB[0] is not b.NB[0]
+    before = copy.deepcopy(b)
+    a.ps[0] = a.ps[1]  # a revised plan
+    a.add_belief(Literal("visitor_on_site"), "self")
+    a.C.E.append(Event(TriggerEvent(TriggerKind.ADD, TriggerType.BELIEF, Literal("bell"))))
+    a.NB[0].relevance -= 1.0  # decay
+    assert b == before
+    assert b.ps[0] is not b.ps[1] and not b.holds(Literal("visitor_on_site"))
+
+
+def test_a_shared_malformed_program_names_its_first_agent_on_every_build():
+    agents = [{"id": "ok", "program": "standby."}] + [{"id": f"bad{i}", "program": "+x <- "} for i in range(3)]
+    config = ScenarioConfig.from_dict(raw(agents=agents))
+    for _ in range(2):  # a text that fails to parse is not cached
+        with pytest.raises(ScenarioError, match=r"^agent 'bad0': 1:"):
+            Society(config)
+
+
+def test_loader_reads_a_shared_program_file_once(tmp_path, monkeypatch):
+    (tmp_path / "patrol.nea").write_text(PATROL_SOURCE, encoding="utf-8")
+    (tmp_path / "idle.nea").write_text("standby.\n", encoding="utf-8")
+    files = ["idle.nea", "patrol.nea", "patrol.nea", "idle.nea", "patrol.nea"]
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda path, *a, **kw: reads.append(path.name) or read_text(path, *a, **kw))
+    agents = [{"id": f"a{i}", "program": name} for i, name in enumerate(files)]
+    config = ScenarioConfig.from_dict(raw(agents=agents), base=tmp_path)
+    assert reads == ["idle.nea", "patrol.nea"]
+    assert [spec["program"] for spec in config.agents] == [
+        PATROL_SOURCE if name == "patrol.nea" else "standby.\n" for name in files
+    ]
+    agents[1]["program"] = agents[3]["program"] = "missing.nea"
+    with pytest.raises(ScenarioError, match=r"'agents\[1\]\.program'"):
+        ScenarioConfig.from_dict(raw(agents=agents), base=tmp_path)
+
+
+# ----------------------------------------------------------------------
 # roster-level helpers
 
 
@@ -397,6 +445,17 @@ def test_unknown_recipient_is_an_interpreter_fault():
     with pytest.raises(InterpreterFault, match="unknown recipient 'ghost'") as caught:
         society.run()
     assert (caught.value.agent_id, caught.value.step, caught.value.tick) == ("a", "ExecInt", 0)
+
+
+def test_an_error_inside_a_tick_becomes_a_fault(monkeypatch):
+    def broken(agent, env):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(nea.society, "agent_tick", broken)
+    society = Society(ScenarioConfig.from_dict(raw()))
+    with pytest.raises(InterpreterFault, match=r"^\[a @ Perceive\] KeyError: 'lost'$") as caught:
+        society.run()
+    assert caught.value.tick == 0 and isinstance(caught.value.__cause__, KeyError)
 
 
 # ----------------------------------------------------------------------
