@@ -33,11 +33,13 @@ from .lang import LangError, parse_agent_program, render
 from .norms import BREAK, UtilityInputs, anticipated_mood, choose_variant, compliance_utility
 from .society import (
     METRICS_COLUMNS,
+    PARAMS,
     ScenarioConfig,
     ScenarioError,
     Society,
     _number,
     _number_pair,
+    _param,
     _ticks,
     write_metrics,
     write_trace_meta,
@@ -188,12 +190,10 @@ def cmd_run(args) -> int:
         # an override flag is held to the rule of the file field it replaces
         if args.ticks is not None:
             config.ticks = _ticks(args.ticks, "--ticks")
-        for name in ("delta", "decay_affect", "decay_relevance", "relevance_threshold", "relevance_weight"):
+        for name in PARAMS:
             value = getattr(args, name)
             if value is not None:
-                setattr(config, name, _number(value, "--" + name.replace("_", "-")))
-        if args.deviation_threshold is not None:  # _pair checked it as it was parsed
-            config.deviation_threshold = args.deviation_threshold
+                config.params[name] = _param(name, value, "--" + name.replace("_", "-"))
         seed = _resolve_seed(args, config)
         society = Society(config, seed=seed)
     except (ScenarioError, LangError, OSError) as exc:

@@ -96,10 +96,9 @@ class NormativeBelief(Record):
         self.relevance, self.roles, self.pre_appraisal = relevance, roles, pre_appraisal
 
     @classmethod
-    def from_decl(cls, decl: NormDecl) -> "NormativeBelief":
-        return cls(
-            norm_id(decl), decl.deontic, decl.plan, decl.limit, decl.relevance, decl.roles, decl.pre_appraisal
-        )
+    def from_decl(cls, decl: NormDecl, nid: str) -> "NormativeBelief":
+        """The agent's own belief in *decl*, under its id *nid* (``norm_id``)."""
+        return cls(nid, decl.deontic, decl.plan, decl.limit, decl.relevance, decl.roles, decl.pre_appraisal)
 
 
 def norm_id(decl: NormDecl) -> str:
@@ -268,17 +267,17 @@ class AgentConfig(Record):
 
     _fields = (  # compared and shown
         "id", "bs", "ps", "cc", "P", "NB", "C", "M", "T", "Mem", "Ta",
-        "s", "ast", "roles", "cycle", "relevance_threshold", "feedback", "_next_iid",
+        "s", "ast", "roles", "cycle", "feedback", "_next_iid",
     )
     __slots__ = _fields + ("mem_cursor", "plan_version", "_texts", "_text_set")
 
     def __init__(
         self, id: str, bs: dict | None = None, ps: list | None = None, cc: tuple = (),
-        P: PersonalityDecl | None = None, roles: tuple = (), relevance_threshold: float = 25.0,
+        P: PersonalityDecl | None = None, roles: tuple = (),
     ) -> None:
         """The declared parts; the runtime state starts empty (s=Perceive,
         ast=Appr, sigma=(0,0))."""
-        self.id, self.cc, self.roles, self.relevance_threshold = id, cc, roles, relevance_threshold
+        self.id, self.cc, self.roles = id, cc, roles
         self.bs = {} if bs is None else bs  # Literal -> set of sources
         self.ps = [] if ps is None else ps  # list[PlanDef]
         self.P = PersonalityDecl() if P is None else P
@@ -357,13 +356,7 @@ class AgentConfig(Record):
         return None
 
 
-def agent_from_program(
-    agent_id: str,
-    program: AgentProgram,
-    *,
-    roles: tuple[str, ...] = (),
-    relevance_threshold: float = 25.0,
-) -> AgentConfig:
+def agent_from_program(agent_id: str, program: AgentProgram, *, roles: tuple[str, ...] = ()) -> AgentConfig:
     """Construct the initial configuration: s=Perceive, ast=Appr, sigma=(0,0),
     empty circumstance and memory; beliefs are self-sourced."""
     agent = AgentConfig(
@@ -373,9 +366,8 @@ def agent_from_program(
         cc=program.concerns,
         P=program.personality or PersonalityDecl(),
         roles=tuple(dict.fromkeys((*program.roles, *roles))),
-        relevance_threshold=relevance_threshold,
     )
-    agent.NB = [NormativeBelief.from_decl(d) for d in program.norms]
+    agent.NB = [NormativeBelief.from_decl(d, norm_id(d)) for d in program.norms]
     for goal in program.goals:
         agent.C.E.append(Event(TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, goal)))
     return agent

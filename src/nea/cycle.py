@@ -162,41 +162,35 @@ class InterpreterFault(RuntimeError):
         self.reason = reason
 
 
+def _whole_society(roles) -> float:
+    return 1.0
+
+
 class EnvironmentView(Record):
-    """What one agent can see of the world during a single tick.
+    """What one agent can see of the world during a single tick, and the
+    run's parameters; the society builds one per run.
 
     ``fraction`` maps a norm's affected-roles spec ("ALL" or a role tuple)
-    to the fraction of society holding one of those roles; when absent the
-    whole society counts as affected.  ``socacc`` is the message-acceptance
-    test applied before a mailbox message is processed (default: accept).
+    to the fraction of society holding one of those roles; by default the
+    whole society counts as affected.
     """
 
     __slots__ = _fields = (
-        "tick", "n_agents", "percepts", "fraction", "socacc", "relevance_weight",
+        "tick", "n_agents", "percepts", "fraction", "relevance_threshold", "relevance_weight",
         "delta", "decay_affect", "decay_relevance", "deviation_threshold",
     )
 
     def __init__(
-        self, tick: int = 0, n_agents: int = 1, percepts: set | None = None, fraction=None, socacc=None,
-        relevance_weight: float = 1.0, delta: float = 0.1, decay_affect: float = 0.05,
-        decay_relevance: float = 0.05, deviation_threshold: AffectPair = (0.5, 0.5),
+        self, tick: int = 0, n_agents: int = 1, percepts: set | None = None, fraction=_whole_society,
+        relevance_threshold: float = 25.0, relevance_weight: float = 1.0, delta: float = 0.1,
+        decay_affect: float = 0.05, decay_relevance: float = 0.05, deviation_threshold: AffectPair = (0.5, 0.5),
     ) -> None:
         self.tick, self.n_agents = tick, n_agents
         self.percepts = set() if percepts is None else percepts
         self.fraction = fraction  # callable: roles-spec -> float
-        self.socacc = socacc  # callable: (agent, message) -> bool
-        self.relevance_weight, self.delta, self.decay_affect = relevance_weight, delta, decay_affect
-        self.decay_relevance, self.deviation_threshold = decay_relevance, deviation_threshold
-
-    def fraction_affected(self, roles) -> float:
-        if self.fraction is None:
-            return 1.0
-        return self.fraction(roles)
-
-    def accepts(self, agent: AgentConfig, message: Message) -> bool:
-        if self.socacc is None:
-            return True
-        return self.socacc(agent, message)
+        self.relevance_threshold, self.relevance_weight, self.delta = relevance_threshold, relevance_weight, delta
+        self.decay_affect, self.decay_relevance = decay_affect, decay_relevance
+        self.deviation_threshold = deviation_threshold
 
 
 class TraceEntry(Record):
@@ -236,7 +230,7 @@ def _adopt_norm(agent: AgentConfig, decl, nid: str) -> str | None:
     None when already held.  The ``NormativeBelief`` is the agent's own."""
     if agent.find_norm(nid) is not None:
         return None
-    nb = NormativeBelief(nid, decl.deontic, decl.plan, decl.limit, decl.relevance, decl.roles, decl.pre_appraisal)
+    nb = NormativeBelief.from_decl(decl, nid)
     agent.NB.append(nb)
     gen_norm_plans(agent.ps, nb)
     agent.plan_version += 1
@@ -379,9 +373,6 @@ def _step_procmsg(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         agent.s = StepLabel.SelEv
         return _entry(agent, env, "ProcMsg", "idle")
     message = agent.M.In.pop(0)
-    if not env.accepts(agent, message):
-        agent.s = StepLabel.SelEv
-        return _entry(agent, env, "ProcMsg", f"rejected mid {message.mid}")
     summary, nxt, payload = process_message(agent, message, env)
     agent.s = nxt
     payload["mid"] = message.mid
@@ -442,7 +433,7 @@ def _step_selappl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         sigma = agent.Ta.sigma
         inputs = UtilityInputs(
             reb=agent.P.rebelliousness,
-            frac_affected=env.fraction_affected(nb.roles),
+            frac_affected=env.fraction(nb.roles),
             s=scalar_mood(sigma),
             s_new=anticipated_mood(sigma, nb.pre_appraisal),
             relevance=nb.relevance,
@@ -452,9 +443,7 @@ def _step_selappl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         decisions[nb.id] = {"comply": follow, "break": breach, "chosen": variant}
         return variant
 
-    agent.T.Ap = order_applicable_plans(
-        agent.T.Ap, agent.NB, agent.cycle, agent.relevance_threshold, choose
-    )
+    agent.T.Ap = order_applicable_plans(agent.T.Ap, agent.NB, agent.cycle, env.relevance_threshold, choose)
     agent.T.rho = agent.T.Ap[0]
     rho = agent.T.rho
     summary = render_trigger(rho.trigger)
@@ -479,7 +468,7 @@ def _step_addim(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
 
 def _step_selint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     agent.s = StepLabel.ExecInt
-    agent.T.iota = select_intention(agent.C.I, agent.NB, agent.cycle, agent.relevance_threshold)
+    agent.T.iota = select_intention(agent.C.I, agent.NB, agent.cycle, env.relevance_threshold)
     if agent.T.iota is None:
         return _entry(agent, env, "SelInt", "idle")
     return _entry(agent, env, "SelInt", f"intention {agent.T.iota.iid}")

@@ -23,6 +23,7 @@ trigger matches base-plan events) and recorded as ``PlanDef.normative``.
 from __future__ import annotations
 
 import functools
+import math
 
 from .ast import (
     AgentProgram,
@@ -224,13 +225,16 @@ class Parser:
         raise self._error(f"expected a term, found {tok.value!r}")
 
     def _parse_number(self) -> float:
+        start = self._current()
         sign = 1.0
         if self._match(TokenType.MINUS):
             sign = -1.0
         elif self._match(TokenType.PLUS):
             sign = 1.0
-        tok = self._expect(TokenType.NUMBER, "number")
-        return sign * float(tok.value)
+        value = sign * float(self._expect(TokenType.NUMBER, "number").value)
+        if not math.isfinite(value):  # 1e400: it would render as the name inf
+            raise SemanticError("number is too large for a float", start.line, start.col)
+        return value
 
     def _parse_vector(self) -> tuple:
         """Bracketed list of numbers, strings or identifiers."""

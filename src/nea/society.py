@@ -163,24 +163,31 @@ class ObserverPolicy(Record):
         self.target_roles = target_roles  # roles whose holders are watched
 
 
+#: The run parameters a scenario's ``params`` may set; ``EnvironmentView``
+#: holds the default of each one left unset.
+PARAMS = (
+    "delta", "relevance_weight", "relevance_threshold", "decay_affect", "decay_relevance", "deviation_threshold",
+)
+
+
+def _param(name: str, value, key: str):
+    """*value* checked by the rule of the run parameter *name*."""
+    if name not in PARAMS:
+        raise ScenarioError(f"scenario {key!r} is not a parameter (one of {', '.join(PARAMS)})")
+    return (_number_pair if name == "deviation_threshold" else _number)(value, key)
+
+
 class ScenarioConfig(Record):
-    __slots__ = _fields = (
-        "name", "ticks", "seed", "agents", "pulses", "observation", "delta", "relevance_weight",
-        "relevance_threshold", "decay_affect", "decay_relevance", "deviation_threshold",
-    )
+    __slots__ = _fields = ("name", "ticks", "seed", "agents", "pulses", "observation", "params")
 
     def __init__(
         self, name: str, ticks: int, seed: int, agents: list[dict], pulses: list[PerceptPulse],
-        observation: ObserverPolicy, delta: float = 0.1, relevance_weight: float = 1.0,
-        relevance_threshold: float = 25.0, decay_affect: float = 0.05, decay_relevance: float = 0.05,
-        deviation_threshold: tuple[float, float] = (0.5, 0.5),
+        observation: ObserverPolicy, params: dict | None = None,
     ) -> None:
         self.name, self.ticks, self.seed = name, ticks, seed
         self.agents = agents  # {"id", "program" (source text), "roles"}
         self.pulses, self.observation = pulses, observation
-        self.delta, self.relevance_weight, self.decay_affect = delta, relevance_weight, decay_affect
-        self.relevance_threshold, self.decay_relevance = relevance_threshold, decay_relevance
-        self.deviation_threshold = deviation_threshold
+        self.params = {} if params is None else params  # the PARAMS set, by name
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
@@ -314,11 +321,6 @@ class ScenarioConfig(Record):
                     f"scenario '{key}' {text!r} is not public (observation.public: {list(observation.public)})"
                 )
 
-        params = _object(raw.get("params", {}), "params")
-
-        def param(name, default):
-            return _number(params.get(name, default), f"params.{name}")
-
         name = raw.get("name", "scenario")
         if not isinstance(name, str):
             raise ScenarioError(f"scenario 'name' must be a string, got {name!r}")
@@ -329,14 +331,10 @@ class ScenarioConfig(Record):
             agents=agents,
             pulses=pulses,
             observation=observation,
-            delta=param("delta", 0.1),
-            relevance_weight=param("relevance_weight", 1.0),
-            relevance_threshold=param("relevance_threshold", 25.0),
-            decay_affect=param("decay_affect", 0.05),
-            decay_relevance=param("decay_relevance", 0.05),
-            deviation_threshold=_number_pair(
-                params.get("deviation_threshold", (0.5, 0.5)), "params.deviation_threshold"
-            ),
+            params={
+                key: _param(key, value, f"params.{key}")
+                for key, value in _object(raw.get("params", {}), "params").items()
+            },
         )
 
 
@@ -388,15 +386,12 @@ class Society:
             except LangError as exc:
                 where = f"{exc.line}:{exc.col}: " if exc.line is not None else ""
                 raise ScenarioError(f"agent {spec['id']!r}: {where}{exc.message}") from exc
-            self.roster[spec["id"]] = agent_from_program(
-                spec["id"],
-                program,
-                roles=spec["roles"],
-                relevance_threshold=config.relevance_threshold,
-            )
+            self.roster[spec["id"]] = agent_from_program(spec["id"], program, roles=spec["roles"])
+        # a norm's roles spec is "ALL" or a tuple, and the roster never changes
+        fraction = functools.cache(functools.partial(fraction_affected, self.roster))
+        self.env = EnvironmentView(n_agents=len(self.roster), fraction=fraction, **config.params)
         self._mids = itertools.count(1)
         self._pending: dict[str, list[Message]] = {aid: [] for aid in self.roster}
-        self._frac_cache: dict = {}
         # the pulses aimed at each agent, in scenario order
         self._pulses: dict[str, list[PerceptPulse]] = {aid: [] for aid in self.roster}
         for pulse in config.pulses:
@@ -416,12 +411,6 @@ class Society:
         self._watched: dict[str, bool] = {target_id: False for target_id, _ in self._targets}
 
     # -- routing -------------------------------------------------------
-
-    def _fraction(self, roles) -> float:
-        key = roles if isinstance(roles, str) else tuple(roles)
-        if key not in self._frac_cache:
-            self._frac_cache[key] = fraction_affected(self.roster, roles)
-        return self._frac_cache[key]
 
     def _deliver_copy(self, message: Message, recipient: str) -> None:
         copy = Message(
@@ -505,19 +494,6 @@ class Society:
     def _percepts_for(self, agent_id: str, t: int) -> set:
         return {pulse.literal for pulse in self._pulses[agent_id] if pulse.fires(t)}
 
-    def _env(self, t: int) -> EnvironmentView:
-        cfg = self.config
-        return EnvironmentView(
-            tick=t,
-            n_agents=len(self.roster),
-            fraction=self._fraction,
-            relevance_weight=cfg.relevance_weight,
-            delta=cfg.delta,
-            decay_affect=cfg.decay_affect,
-            decay_relevance=cfg.decay_relevance,
-            deviation_threshold=cfg.deviation_threshold,
-        )
-
     # `_unused` only keeps the positional slot that bench/child.py's wrapper passes
     def run_tick(self, t: int, _unused=None) -> tuple[list[TraceItem], list[MetricsRow]]:
         """Run tick *t*; returns its trace items (entries, and one
@@ -538,7 +514,8 @@ class Society:
         trace: list[TraceItem] = []
         announcements: list[tuple[Message, str]] = []
         announced: dict[str, str] = {}  # an agent's last variant this tick
-        env = self._env(t)
+        env = self.env
+        env.tick = t
         try:
             for aid, agent in self.roster.items():
                 env.percepts = self._percepts_for(aid, t)

@@ -28,11 +28,9 @@ def parse_norm(text: str):
     return norm_from_literal(parse_literal_text(text))
 
 
-def build_agent(source: str, agent_id: str = "a1", threshold: float = 25.0):
+def build_agent(source: str, agent_id: str = "a1"):
     """Agent from inline source text."""
-    return agent_from_program(
-        agent_id, parse_agent_program(source), relevance_threshold=threshold
-    )
+    return agent_from_program(agent_id, parse_agent_program(source))
 
 
 PATROL_SOURCE = """\

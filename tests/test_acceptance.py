@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 from nea.affect import affect_decay, update_affect
 from nea.cli import main
-from nea.core import NormativeBelief
+from nea.core import NormativeBelief, norm_id
 from nea.lang import (
     Literal,
     StepKind,
@@ -206,7 +206,8 @@ def norm_of(deontic, limit, relevance=30.0, pa=(0.5, 0.25)):
         f'norm("{deontic}", "np__wake:not done <- put_on_mask; +done.",'
         f' {limit}, {relevance}, "ALL", [{pa[0]},{pa[1]}])'
     )
-    return NormativeBelief.from_decl(parse_norm(text))
+    decl = parse_norm(text)
+    return NormativeBelief.from_decl(decl, norm_id(decl))
 
 
 def test_criterion_3_kernels_match_oracles():
@@ -282,7 +283,7 @@ def test_criterion_4_generation_and_decay():
                 f'norm("{deontic}", "np__{trigger}:not busy <- {body}",'
                 f' {limit}, {relevance}, "ALL", [{pa[0]},{pa[1]}])'
             )
-            nb = NormativeBelief.from_decl(decl)
+            nb = NormativeBelief.from_decl(decl, norm_id(decl))
             base = parse_plan_text(f"+{trigger} : calm <- step_one; +done.")
             ps = [base]
             added = gen_norm_plans(ps, nb)

@@ -50,6 +50,14 @@ def test_check_reports_position_and_exits_2(tmp_path, capsys):
     assert "bad.nea:2:" in err
 
 
+def test_check_number_too_large_for_a_float_exits_2(tmp_path, capsys):
+    bad = tmp_path / "big.nea"
+    bad.write_text('norms__: {\n  norm("obligation", "np__x:c", 1e400, 1, "ALL", [0.0,0.0])\n}.\n', encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{bad}:2:33: number is too large for a float\n"
+
+
 def test_check_missing_file_exits_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.nea")]) == 2
     assert "check" in capsys.readouterr().err
@@ -124,6 +132,10 @@ def test_run_is_deterministic_on_disk(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _digests(out) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 #: sha256 of `nea run mask --ticks 300 --seed 7`, pinned so that a change
 #: to the interpreter, the harness or the writers cannot move a byte unnoticed
 ORACLE = {
@@ -143,8 +155,64 @@ def test_run_mask_oracle_digests(tmp_path, trace_format):
     out = tmp_path / "out"
     argv = ["run", "mask", "--ticks", "300", "--seed", "7", "--out", str(out)]
     assert main([*argv, "--trace-format", trace_format]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == ORACLE[trace_format]
+    assert _digests(out) == ORACLE[trace_format]
+
+
+# each run parameter: its flag, the same value as the scenario's params write
+# it, and the sha256s of `run mask --ticks 300 --seed 7` with that value
+PARAMETER_PINS = {
+    "delta": (
+        ["--delta", "0.5"],
+        0.5,
+        "b77c63527c31a8721d4e80a6a54aac9de4394fb11d9285de8d8227b7349ef362",
+        "5d3a8b6df95a56d849a28b9f11c7160e023fffbf5a76f8de4caf73df9e71f37a",
+    ),
+    "decay_affect": (
+        ["--decay-affect", "0.1"],
+        0.1,
+        "15656198777fc8f7e2439575a7c86309655f98c3106bec0dcc307b6f3537f5a9",
+        "47af910a569bf2ca97e0bf5dbbf3471358441c8b350c7afd988be4b0c9428ae6",
+    ),
+    "decay_relevance": (
+        ["--decay-relevance", "0.2"],
+        0.2,
+        "a871b8a2bb72d7adf3a661074f9038903b45d7237ba3548e31ecff143badcbe4",
+        "985c2462e30792bd97e49a465d050c29cb4b4cb9c2e343bdc71f28fa27bc8893",
+    ),
+    "relevance_threshold": (
+        ["--relevance-threshold", "100"],
+        100,
+        "95ec09af11cfc4fd8b7bc0c56a86881b21360e0cfa6ba659985d57c6253914e4",
+        "48e3b3de724a5ab1d82a3f11a4b5cdb67dabcbad38b2dd49a1e34860b755ed77",
+    ),
+    "relevance_weight": (
+        ["--relevance-weight", "0.5"],
+        0.5,
+        "8c64efdcac1a1476c70732ff2bfebd3b3012fd3ad66ce8d0b476fef2c550a7f9",
+        "78e33c10272cec71aedbb7c48f491cda8c39e7b90a5a53d0c27c04a15cd45df3",
+    ),
+    "deviation_threshold": (
+        ["--deviation-threshold", "5,5"],
+        [5, 5],
+        "56399e810e850197a36bfac552ff0c17c1d1bf014e3a036c960e6fc9c50700e8",
+        "ab4dbe421c43ff8910abd52419124164732b880586c814f4b5f53582f0fa74a6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PARAMETER_PINS))
+def test_run_parameter_reaches_the_interpreter(tmp_path, name):
+    flags, value, metrics, trace = PARAMETER_PINS[name]
+    pinned = {"metrics.csv": metrics, "trace.txt": trace}
+    run = ["--ticks", "300", "--seed", "7", "--out"]
+    assert main(["run", "mask", *flags, *run, str(tmp_path / "by-flag")]) == 0
+    assert _digests(tmp_path / "by-flag") == pinned
+    scenario = mask_copy(tmp_path) / "scenario.json"
+    spec = json.loads(scenario.read_text(encoding="utf-8"))
+    spec["params"][name] = value
+    scenario.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["run", str(scenario), *run, str(tmp_path / "by-file")]) == 0
+    assert _digests(tmp_path / "by-file") == pinned
 
 
 @pytest.mark.parametrize("trace_format", ["text", "structured"])

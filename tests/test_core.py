@@ -123,7 +123,7 @@ def test_norm_id_is_stable_and_content_keyed():
     assert norm_id(decl) != norm_id(other)
     assert len(norm_id(decl)) == 12
 
-    nb = NormativeBelief.from_decl(decl)
+    nb = NormativeBelief.from_decl(decl, norm_id(decl))
     assert nb.id == norm_id(decl)
     assert nb.deontic == "obligation"
     assert nb.relevance == 50.0
@@ -146,7 +146,8 @@ def test_scalar_mood_and_clamp():
 
 def test_snapshot_covers_configuration_tuple():
     agent = build_agent(PATROL_SOURCE)
-    agent.NB.append(NormativeBelief.from_decl(parse_norm(MASK_NORM_TEXT)))
+    decl = parse_norm(MASK_NORM_TEXT)
+    agent.NB.append(NormativeBelief.from_decl(decl, norm_id(decl)))
     snap = snapshot(agent)
     assert snap["id"] == "a1"
     assert set(snap) == {"id", "ag", "C", "M", "T", "Mem", "Ta", "s", "ast", "cycle"}

@@ -130,8 +130,8 @@ def test_tick_rejects_non_perceive_start():
 
 def fuzz_step_machine(total_steps: int, seed: int) -> int:
     rng = random.Random(seed)
-    env = make_env(n_agents=3, delta=0.4, decay_affect=0.1, decay_relevance=0.01)
-    agent = build_agent(PATROL_SOURCE, threshold=3.0)
+    env = make_env(n_agents=3, relevance_threshold=3.0, delta=0.4, decay_affect=0.1, decay_relevance=0.01)
+    agent = build_agent(PATROL_SOURCE)
     nid = adopt_mask_norm(agent, env)
 
     percept_pool = [Literal("enter_classroom"), Literal("exit_classroom"), Literal("bell")]
@@ -232,8 +232,8 @@ BREACHES = [
     "breach, reason", BREACHES, ids=[fn.__name__.strip("_") for fn, _ in BREACHES]
 )
 def test_each_invariant_names_the_step(breach, reason, at):
-    agent = build_agent(PATROL_SOURCE, threshold=3.0)
-    env = make_env(n_agents=3)
+    agent = build_agent(PATROL_SOURCE)
+    env = make_env(n_agents=3, relevance_threshold=3.0)
     # a healthy agent with a norm, its plans, mail and memory passes
     adopt_mask_norm(agent, env)
     agent.M.In = [msg("a", mid=3), msg("b", mid=4), msg("c", mid=-1), msg("d", mid=-1)]
@@ -299,16 +299,6 @@ def test_procmsg_idle_advances():
     entry = step(agent, make_env())
     assert entry.summary == "idle"
     assert agent.s is StepLabel.SelEv
-
-
-def test_procmsg_social_acceptance_gate():
-    agent = build_agent(PATROL_SOURCE)
-    agent.M.In.append(msg("gossip"))
-    agent.s = StepLabel.ProcMsg
-    entry = step(agent, make_env(socacc=lambda a, m: False))
-    assert "rejected" in entry.summary
-    assert agent.s is StepLabel.SelEv
-    assert not agent.holds(Literal("gossip"))
 
 
 def test_plain_tell_adds_sender_sourced_belief():
@@ -505,8 +495,8 @@ def run_until_announcement(agent, env, limit=12):
 
 
 def test_comply_variant_selected_and_announced():
-    env = make_env(n_agents=5, fraction=lambda roles: 0.4, relevance_weight=0.0125)
-    agent = build_agent(PATROL_SOURCE, threshold=3.0)
+    env = make_env(n_agents=5, fraction=lambda roles: 0.4, relevance_threshold=3.0, relevance_weight=0.0125)
+    agent = build_agent(PATROL_SOURCE)
     set_rebelliousness(agent, 0.2)
     nid = adopt_mask_norm(agent, env)
 
@@ -529,8 +519,8 @@ def test_comply_variant_selected_and_announced():
 
 
 def test_rebel_breaks_and_announces_break():
-    env = make_env(n_agents=5, fraction=lambda roles: 0.4, relevance_weight=0.0125)
-    agent = build_agent(PATROL_SOURCE, threshold=3.0)
+    env = make_env(n_agents=5, fraction=lambda roles: 0.4, relevance_threshold=3.0, relevance_weight=0.0125)
+    agent = build_agent(PATROL_SOURCE)
     set_rebelliousness(agent, 0.8)
     nid = adopt_mask_norm(agent, env)
 
@@ -550,8 +540,8 @@ def test_rebel_breaks_and_announces_break():
 
 
 def test_cross_norm_attribution_fires_for_other_norms():
-    env = make_env()
-    agent = build_agent("ready.\n\n+do_it : ready <- sing.", threshold=1.0)
+    env = make_env(relevance_threshold=1.0)
+    agent = build_agent("ready.\n\n+do_it : ready <- sing.")
     ban = parse_norm(
         'norm("prohibition", "np__party : ready <- sing.", 0, 30.0, "ALL", [0.2,0.1])'
     )

@@ -312,6 +312,28 @@ def test_fractional_limit_rejected():
         parse_norm('norm("obligation", "np__x:c", 2.5, 1, "ALL", [0.0,0.0])')
 
 
+NORM_NUMBERS = 'norm("obligation", "np__x:c", {limit}, {relevance}, "ALL", [0.0,0.0])'
+
+
+@pytest.mark.parametrize(
+    "source, line, col",
+    [
+        ("ok.\nx(1e400).", 2, 3),
+        ("norms__: {\n  " + NORM_NUMBERS.format(limit="1e400", relevance=1) + "\n}.", 2, 33),
+        ("norms__: {\n  " + NORM_NUMBERS.format(limit=0, relevance="1e400") + "\n}.", 2, 36),
+        ("v([1, 2e400]).", 1, 7),
+        ("y(-1e400).", 1, 3),
+    ],
+    ids=["belief-argument", "norm-limit", "norm-relevance", "vector-item", "negative"],
+)
+def test_number_too_large_for_a_float_rejected(source, line, col):
+    # float() reads it as inf, which renders as the name inf: it would not
+    # survive the canonical round trip, and int(inf) raises OverflowError
+    with pytest.raises(SemanticError) as err:
+        parse_agent_program(source)
+    assert (err.value.message, err.value.line, err.value.col) == ("number is too large for a float", line, col)
+
+
 # ----------------------------------------------------------------------
 # plan grammar details
 

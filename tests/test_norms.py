@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nea.core import MemKind, MemoryEvent, NormativeBelief
+from nea.core import MemKind, MemoryEvent, NormativeBelief, norm_id
 from nea.lang import AFFECT_FUNCTOR, Literal, StepKind
 from nea.norms import (
     BREAK,
@@ -46,7 +46,8 @@ def make_norm(
         f'norm("{deontic}", "np__{trigger}:not done <- {action}; +done.",'
         f' {limit}, {relevance}, "ALL", [{pa[0]},{pa[1]}])'
     )
-    return NormativeBelief.from_decl(parse_norm(text))
+    decl = parse_norm(text)
+    return NormativeBelief.from_decl(decl, norm_id(decl))
 
 
 # ----------------------------------------------------------------------

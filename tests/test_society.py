@@ -164,6 +164,11 @@ def test_scenario_loads_builtin():
             {"observation": {"public": ["x"], "feedback": {"condition": ["x", "x(1)"]}}},
             "'observation.feedback.condition\\[1\\]' 'x\\(1\\)' must be a bare name",
         ),
+        (
+            {"params": {"decay_afect": 0.1}},
+            "'params.decay_afect' is not a parameter \\(one of delta, relevance_weight, "
+            "relevance_threshold, decay_affect, decay_relevance, deviation_threshold\\)",
+        ),
     ],
     ids=[
         "broken0-missing 'ticks'",
@@ -222,6 +227,7 @@ def test_scenario_loads_builtin():
         "broken53-'name' must be a string, got \\['mask'\\]",
         "broken54-'agents\\[0\\].id' '__observers__' is the announcement channel",
         "broken55-'observation.feedback.condition\\[1\\]' 'x\\(1\\)' must be a bare name",
+        "broken56-'params.decay_afect' is not a parameter",
     ],
 )
 def test_scenario_rejections(broken, message, tmp_path):
