@@ -14,7 +14,8 @@ An agent configuration is the tuple <ag, C, M, T, Mem, Ta, s, ast>:
   selected coping strategies Cs, affective state sigma;
 * s — current normative-cycle step label; ast — current affective-cycle step.
 
-Everything here is plain data; the step functions live in norms/affect/cycle.
+Everything here is plain data; the step functions and agent construction
+live in norms/affect/cycle.
 """
 
 from __future__ import annotations
@@ -23,14 +24,11 @@ import hashlib
 from enum import Enum
 
 from .lang import (
-    AgentProgram,
     Literal,
     NormDecl,
     PersonalityDecl,
     PlanDef,
     TriggerEvent,
-    TriggerKind,
-    TriggerType,
     render_literal,
     render_norm,
     render_plan,
@@ -145,7 +143,8 @@ class Ilf(Enum):
 
 class Message(Record):
     """*norm* is the norm-annotation (id of the referenced norm); *recipient*
-    is for routing only: "ALL", an agent id or a role name."""
+    is for routing only: "ALL", an agent id or the announcement channel
+    (``cycle.OBSERVER_CHANNEL``), never a role name (routing faults on one)."""
 
     __slots__ = _fields = ("mid", "sender", "ilf", "content", "norm", "appraisal", "recipient")
 
@@ -354,23 +353,6 @@ class AgentConfig(Record):
             if nb.id == nid:
                 return nb
         return None
-
-
-def agent_from_program(agent_id: str, program: AgentProgram, *, roles: tuple[str, ...] = ()) -> AgentConfig:
-    """Construct the initial configuration: s=Perceive, ast=Appr, sigma=(0,0),
-    empty circumstance and memory; beliefs are self-sourced."""
-    agent = AgentConfig(
-        id=agent_id,
-        bs={lit: {SOURCE_SELF} for lit in program.beliefs},
-        ps=list(program.plans),
-        cc=program.concerns,
-        P=program.personality or PersonalityDecl(),
-        roles=tuple(dict.fromkeys((*program.roles, *roles))),
-    )
-    agent.NB = [NormativeBelief.from_decl(d, norm_id(d)) for d in program.norms]
-    for goal in program.goals:
-        agent.C.E.append(Event(TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, goal)))
-    return agent
 
 
 # ----------------------------------------------------------------------

@@ -89,8 +89,11 @@ from .core import (
     scalar_mood,
 )
 from .lang import (
+    AgentProgram,
     LangError,
     Literal,
+    NormDecl,
+    PersonalityDecl,
     StepKind,
     Sym,
     TriggerEvent,
@@ -216,18 +219,18 @@ def _entry(agent: AgentConfig, env: EnvironmentView, step_name: str, summary: st
 
 @functools.lru_cache(maxsize=256)
 def _declared_norm(text: str, lit: Literal) -> tuple:
-    """The ``NormDecl`` of the norm literal *lit* and its id.  Every agent
-    that perceives or is told one norm shares one validation and one hash;
-    the key holds *lit*'s canonical *text* too, because equal literals can
-    render apart (``0.0`` and ``-0.0``) and so have different ids.  A
-    malformed norm raises ``LangError`` and is not cached."""
+    """The ``NormDecl`` of the norm literal *lit* and its id, once for every
+    agent perceiving or told it.  The key holds *lit*'s *text* too: equal
+    literals can render apart (``0.0`` and ``-0.0``) and so have different
+    ids.  A malformed norm raises ``LangError`` and is not cached."""
     decl = norm_from_literal(lit)
     return decl, norm_id(decl)
 
 
-def _adopt_norm(agent: AgentConfig, decl, nid: str) -> str | None:
-    """Register a norm declaration under its id *nid*; returns the id, or
-    None when already held.  The ``NormativeBelief`` is the agent's own."""
+def _adopt_norm(agent: AgentConfig, decl: NormDecl, nid: str) -> str | None:
+    """Adopt *decl* under its id *nid*, whether declared, perceived or told:
+    the agent's own ``NormativeBelief``, the comply/break variants after the
+    plans held and a ``plan_version`` bump.  None when already held."""
     if agent.find_norm(nid) is not None:
         return None
     nb = NormativeBelief.from_decl(decl, nid)
@@ -237,20 +240,47 @@ def _adopt_norm(agent: AgentConfig, decl, nid: str) -> str | None:
     return nid
 
 
+def _adopt_literal(agent: AgentConfig, lit: Literal, step: str, fault: str) -> str | None:
+    """Adopt the norm a perceived or told ``norm(...)`` literal declares; a
+    malformed one raises the ``InterpreterFault`` at *step* reading *fault*."""
+    try:
+        decl, nid = _declared_norm(lit.text, lit)
+    except LangError as exc:
+        raise InterpreterFault(agent.id, step, f"{fault}: {exc}") from exc
+    return _adopt_norm(agent, decl, nid)
+
+
+@functools.lru_cache(maxsize=256)
+def _program_norm_id(ident: int, decl: NormDecl) -> str:
+    """``norm_id`` of the ``norms__`` entry *decl*, once for all the agents
+    sharing its program.  Keyed by identity (``id(decl)``, kept from reuse
+    by holding *decl*), since equal declarations can render apart."""
+    return norm_id(decl)
+
+
+def agent_from_program(agent_id: str, program: AgentProgram, *, roles: tuple[str, ...] = ()) -> AgentConfig:
+    """Construct the initial configuration: s=Perceive, ast=Appr, sigma=(0,0),
+    empty circumstance and memory; beliefs are self-sourced.  The ``norms__``
+    entries are adopted in order before tick 0, with no belief or trace entry."""
+    agent = AgentConfig(
+        id=agent_id, bs={lit: {SOURCE_SELF} for lit in program.beliefs}, ps=list(program.plans),
+        cc=program.concerns, P=program.personality or PersonalityDecl(),
+        roles=tuple(dict.fromkeys((*program.roles, *roles))),
+    )
+    for decl in program.norms:
+        _adopt_norm(agent, decl, _program_norm_id(id(decl), decl))
+    agent.C.E.extend(Event(TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, goal)) for goal in program.goals)
+    return agent
+
+
 def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     agent.T.reset()
     new_p, rem_p = eval_percepts(env.percepts, agent.percept_literals())
     adopted: list[str] = []
     for lit in sorted(new_p, key=render_literal):
         queue_belief_add(agent, lit, SOURCE_PERCEPT)
-        if lit.functor == "norm":
-            try:
-                norm = _declared_norm(lit.text, lit)
-            except LangError as exc:
-                raise InterpreterFault(agent.id, "Perceive", f"bad norm percept: {exc}") from exc
-            nid = _adopt_norm(agent, *norm)
-            if nid:
-                adopted.append(nid)
+        if lit.functor == "norm" and (nid := _adopt_literal(agent, lit, "Perceive", "bad norm percept")):
+            adopted.append(nid)
     for lit in sorted(rem_p, key=render_literal):
         queue_belief_del(agent, lit, SOURCE_PERCEPT)
     agent.s = StepLabel.ProcMsg
@@ -340,11 +370,7 @@ def process_message(
 
     lit = _content_literal(agent, content)
     if lit.functor == "norm":
-        try:
-            norm = _declared_norm(lit.text, lit)
-        except LangError as exc:
-            raise InterpreterFault(agent.id, "ProcMsg", f"bad norm message {content!r}: {exc}") from exc
-        nid = _adopt_norm(agent, *norm)
+        nid = _adopt_literal(agent, lit, "ProcMsg", f"bad norm message {content!r}")
         summary, payload = f"norm from {message.sender}: " + (nid or "already held"), {"adopted": nid}
     else:
         summary, payload = f"tell {content} from {message.sender}", {}

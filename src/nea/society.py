@@ -32,7 +32,6 @@ from .core import (
     AgentConfig,
     Ilf,
     Message,
-    agent_from_program,
 )
 from .cycle import (
     OBSERVER_CHANNEL,
@@ -40,6 +39,7 @@ from .cycle import (
     InterpreterFault,
     QuietTick,
     TraceEntry,
+    agent_from_program,
     expand,
     tick as agent_tick,
 )
@@ -108,9 +108,16 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _object(value, key: str) -> dict:
+def _object(value, key: str, keys: tuple[str, ...] | None = None) -> dict:
+    """*value* as an object; given *keys*, one that holds no other key, so
+    a misspelt key is not ignored."""
     if not isinstance(value, dict):
         raise ScenarioError(f"scenario {key!r} must be an object, got {value!r}")
+    if keys is not None:
+        for name in value:
+            if name not in keys:
+                where = f"{key}.{name}" if key else name
+                raise ScenarioError(f"scenario {where!r} is not a key (one of {', '.join(keys)})")
     return value
 
 
@@ -163,6 +170,14 @@ class ObserverPolicy(Record):
         self.target_roles = target_roles  # roles whose holders are watched
 
 
+#: The keys of each scenario object (docs/scenario.md), by its path.
+_SCENARIO_KEYS = ("ticks", "agents", "name", "seed", "percepts", "observation", "params")
+_AGENT_KEYS = ("id", "program", "roles")
+_PULSE_KEYS = ("agents", "literal", "at", "from", "period")
+_OBSERVATION_KEYS = ("public", "authority", "reactions", "feedback")
+_FEEDBACK_KEYS = ("observers", "condition", "pair", "targets_roles")
+_REACTION_KEYS = ("comply", "break")
+
 #: The run parameters a scenario's ``params`` may set; ``EnvironmentView``
 #: holds the default of each one left unset.
 PARAMS = (
@@ -174,7 +189,17 @@ def _param(name: str, value, key: str):
     """*value* checked by the rule of the run parameter *name*."""
     if name not in PARAMS:
         raise ScenarioError(f"scenario {key!r} is not a parameter (one of {', '.join(PARAMS)})")
-    return (_number_pair if name == "deviation_threshold" else _number)(value, key)
+    if name == "deviation_threshold":
+        return _number_pair(value, key)
+    number = _number(value, key)
+    # affect decay scales sigma by 1 - rate: outside [0, 1] it pushes sigma
+    # away from neutral; relevance decay subtracts the rate, so any
+    # non-negative amount is a decay
+    if name == "decay_affect" and not 0.0 <= number <= 1.0:
+        raise ScenarioError(f"scenario {key!r} must lie in [0, 1], got {value!r}")
+    if name == "decay_relevance" and number < 0.0:
+        raise ScenarioError(f"scenario {key!r} must not be negative, got {value!r}")
+    return number
 
 
 class ScenarioConfig(Record):
@@ -202,6 +227,7 @@ class ScenarioConfig(Record):
     def from_dict(cls, raw: dict, base: Path | None = None) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ScenarioError(f"a scenario must be a JSON object, got {raw!r}")
+        _object(raw, "", _SCENARIO_KEYS)
 
         def need(key, typ):
             if key not in raw:
@@ -220,8 +246,14 @@ class ScenarioConfig(Record):
         for i, spec in enumerate(agents_raw):
             if not isinstance(spec, dict) or "id" not in spec or "program" not in spec:
                 raise ScenarioError("each agent needs an id and a program")
+            _object(spec, f"agents[{i}]", _AGENT_KEYS)
             if not isinstance(spec["id"], str):
                 raise ScenarioError(f"scenario 'agents[{i}].id' must be a string, got {spec['id']!r}")
+            if not spec["id"] or not spec["id"].isprintable():
+                # the id is a field of every trace line and metrics row
+                raise ScenarioError(
+                    f"scenario 'agents[{i}].id' must be non-empty and printable, got {spec['id']!r}"
+                )
             if spec["id"] == BROADCAST:
                 raise ScenarioError(f"scenario 'agents[{i}].id' {BROADCAST!r} names every agent")
             if spec["id"] == OBSERVER_CHANNEL:
@@ -254,7 +286,7 @@ class ScenarioConfig(Record):
         pulses: list[PerceptPulse] = []
         for i, p in enumerate(_array(raw.get("percepts", ()), "percepts")):
             key = f"percepts[{i}]"
-            _object(p, key)
+            _object(p, key, _PULSE_KEYS)
             targets = _strings(p.get("agents", ()), f"{key}.agents")
             unknown = [a for a in targets if a not in seen]
             if unknown:
@@ -279,9 +311,9 @@ class ScenarioConfig(Record):
             else:
                 raise ScenarioError(f"{key}: percept pulse needs 'at' or 'from'+'period'")
 
-        obs_raw = _object(raw.get("observation", {}), "observation")
-        feedback = _object(obs_raw.get("feedback", {}), "observation.feedback")
-        reactions = _object(obs_raw.get("reactions", {}), "observation.reactions")
+        obs_raw = _object(raw.get("observation", {}), "observation", _OBSERVATION_KEYS)
+        feedback = _object(obs_raw.get("feedback", {}), "observation.feedback", _FEEDBACK_KEYS)
+        reactions = _object(obs_raw.get("reactions", {}), "observation.reactions", _REACTION_KEYS)
         authority = obs_raw.get("authority")
         if authority is not None and not isinstance(authority, str):
             raise ScenarioError(f"scenario 'observation.authority' must be a string, got {authority!r}")

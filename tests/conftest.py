@@ -5,11 +5,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
-from nea.core import agent_from_program
+from nea.cycle import agent_from_program
 from nea.lang import norm_from_literal, parse_agent_program, parse_literal_text
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
+
+# CI selects this profile with `pytest --hypothesis-profile=ci`; it deepens
+# the property tests whose settings leave max_examples to the profile
+settings.register_profile("ci", max_examples=200, deadline=None)
 
 
 def corpus_files() -> list[Path]:

@@ -369,6 +369,18 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
             lambda spec: spec["observation"]["feedback"]["condition"].insert(0, "hat_on"),
             "observation.feedback.condition[0]",
         ),
+        # a decay rate must decay
+        (lambda spec: ["--decay-affect", "3"], "--decay-affect"),
+        (lambda spec: ["--decay-affect", "-1"], "--decay-affect"),
+        (lambda spec: ["--decay-relevance", "-0.5"], "--decay-relevance"),
+        (lambda spec: spec["params"].update(decay_affect=3), "params.decay_affect"),
+        (lambda spec: spec["params"].update(decay_relevance=-0.5), "params.decay_relevance"),
+        # a misspelt key is not ignored
+        (lambda spec: spec.update(percept=spec.pop("percepts")), "percept"),
+        (lambda spec: spec["observation"]["reactions"].update(brake=spec["observation"]["reactions"].pop("break")),
+         "observation.reactions.brake"),
+        # an id is one field of every trace line
+        (lambda spec: spec["agents"][3].update(id="stu\tdent"), "agents[3].id"),
     ],
     ids=[
         "<lambda>-params.delta",
@@ -385,6 +397,14 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
         "<lambda>-agents[0].id",
         "<lambda>-observation.feedback.condition[2]",
         "<lambda>-observation.feedback.condition[0]-not-public",
+        "<lambda>---decay-affect-above-1",
+        "<lambda>---decay-affect-negative",
+        "<lambda>---decay-relevance-negative",
+        "<lambda>-params.decay_affect-above-1",
+        "<lambda>-params.decay_relevance-negative",
+        "<lambda>-percept",
+        "<lambda>-observation.reactions.brake",
+        "<lambda>-agents[3].id-tab",
     ],
 )
 def test_run_malformed_field_exits_2(tmp_path, capsys, edit, key):

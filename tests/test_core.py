@@ -14,12 +14,12 @@ from nea.core import (
     SOURCE_SELF,
     StepLabel,
     AffectiveStepLabel,
-    agent_from_program,
     clamp_pair,
     norm_id,
     scalar_mood,
     snapshot,
 )
+from nea.cycle import agent_from_program
 from nea.lang import Literal, TriggerType, parse_agent_program, render_literal
 
 from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent, parse_norm

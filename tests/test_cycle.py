@@ -9,7 +9,7 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nea.core
@@ -49,20 +49,28 @@ from nea.cycle import (
     tick,
 )
 from nea.lang import (
+    AgentProgram,
+    BodyStep,
     Literal,
+    NormDecl,
     PersonalityDecl,
     PlanDef,
     StepKind,
     Sym,
+    TriggerType,
     parse_literal_text,
     parse_plan_text,
+    render,
     render_feedback,
+    render_literal,
+    render_norm,
     render_trigger,
 )
 from nea.norms import BREAK, COMPLY
 from nea.society import PerceptPulse, ScenarioConfig, Society
 
-from conftest import PATROL_SOURCE, build_agent, parse_norm
+from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent, parse_norm
+from test_lang_roundtrip import _programs
 
 MASK_NORM_MSG = (
     'norm("obligation", "np__enter_classroom : in_campus <- put_on(mask);'
@@ -441,6 +449,77 @@ def test_equal_norm_literals_that_render_apart_keep_their_ids():
         process_message(agent, msg(text), make_env())
         assert agent.NB[0].id == norm_id(parse_norm(text))
     assert norm_id(parse_norm(texts[0])) != norm_id(parse_norm(texts[1]))
+
+
+# ----------------------------------------------------------------------
+# norms__ entries: adopted when the agent is built
+
+
+def normed(source: str, *norms: str) -> str:
+    return source + "\nnorms__: { " + " ".join(f"{text}." for text in norms) + " }.\n"
+
+
+def test_declared_norm_is_adopted_like_a_perceived_one():
+    """A ``norms__`` norm and the same norm perceived at tick 0 give the
+    same plans and normative beliefs from tick 1 on, and the same SelAppl
+    decisions once ``enter_classroom`` is perceived at tick 1."""
+    config = ScenarioConfig.from_dict(
+        {
+            "ticks": 6,
+            "agents": [
+                {"id": "declared", "program": normed(PATROL_SOURCE, MASK_NORM_TEXT)},
+                {"id": "perceived", "program": PATROL_SOURCE},
+            ],
+            "percepts": [
+                {"agents": ["perceived"], "literal": MASK_NORM_TEXT, "at": 0},
+                {"agents": ["declared", "perceived"], "literal": "enter_classroom", "at": 1},
+            ],
+        }
+    )
+    society = Society(config)
+    declared, perceived = society.roster["declared"], society.roster["perceived"]
+    assert len(declared.ps) == 4 and declared.plan_version == 1
+    selappl = []
+    for t in range(config.ticks):
+        items, _ = society.run_tick(t)
+        if t >= 1:
+            assert declared.ps == perceived.ps and declared.NB == perceived.NB
+        if t >= 2:
+            summaries = {e.agent: e.summary for e in expand(items) if e.step == "SelAppl"}
+            assert summaries["declared"] == summaries["perceived"]
+            selappl.append(summaries["declared"])
+    assert selappl[0] == "+enter_classroom [comply]"
+
+
+def test_declared_norm_perceived_again_is_already_held():
+    agent = build_agent(normed(PATROL_SOURCE, MASK_NORM_TEXT))
+    entry = step(agent, make_env(percepts={parse_literal_text(MASK_NORM_TEXT)}))
+    assert entry.payload["adopted"] == [] and len(agent.ps) == 4 and len(agent.NB) == 1
+
+
+def test_norm_declared_twice_is_held_once():
+    agent = build_agent(normed(PATROL_SOURCE, MASK_NORM_TEXT, MASK_NORM_MSG, MASK_NORM_TEXT))
+    assert [nb.id for nb in agent.NB] == [norm_id(parse_norm(text)) for text in (MASK_NORM_TEXT, MASK_NORM_MSG)]
+    assert len(agent.ps) == 2 + 2 * 2 and agent.plan_version == 2
+    assert not agent.bs.keys() - {Literal("in_campus")}, "adoption adds no belief"
+
+
+def test_agents_from_one_program_render_its_norms_once(monkeypatch):
+    renders = []
+    render_norm = nea.core.render_norm
+    monkeypatch.setattr(nea.core, "render_norm", lambda decl: renders.append(decl) or render_norm(decl))
+    nea.cycle._program_norm_id.cache_clear()
+    agents = [build_agent(normed(PATROL_SOURCE, MASK_NORM_TEXT), f"a{i}") for i in range(10)]
+    assert len(renders) == 1
+    assert {agent.NB[0].id for agent in agents} == {norm_id(parse_norm(MASK_NORM_TEXT))}
+
+
+def test_equal_declared_norms_that_render_apart_keep_their_ids():
+    texts = [MASK_NORM_TEXT.replace("[0.5,0.5]", pa) for pa in ("[0.0,0.5]", "[-0.0,0.5]")]
+    assert parse_norm(texts[0]) == parse_norm(texts[1])
+    agents = [build_agent(normed(PATROL_SOURCE, text)) for text in texts]
+    assert [agent.NB[0].id for agent in agents] == [norm_id(parse_norm(text)) for text in texts]
+    assert agents[0].NB[0].id != agents[1].NB[0].id
 
 
 # ----------------------------------------------------------------------
@@ -937,6 +1016,89 @@ def test_random_feedback_and_percepts_equal_the_full_passes(feedback, flips, nor
                 society._deliver_copy(message, aid)
             society.run_tick(t)
     assert quiet["ticks"] == PROPERTY_TICKS * len(MASK_IDS)
+
+
+SOCIETY_TICKS = 24
+
+
+def addressed(program: AgentProgram, ids: list[str]) -> AgentProgram:
+    """*program* with each ``.sendMsg`` recipient, in its plans and its
+    norms' plans, replaced by one of the roster *ids* or ``ALL``."""
+    names = (*ids, "ALL")
+
+    def readdress(step_: BodyStep) -> BodyStep:
+        if step_.kind is not StepKind.SEND:
+            return step_
+        name = names[len(repr(step_.recipient)) % len(names)]
+        return BodyStep(StepKind.SEND, recipient=Sym(name), content=step_.content)
+
+    def plan(p: PlanDef) -> PlanDef:
+        return PlanDef(p.trigger, p.context, tuple(map(readdress, p.body)), p.label, p.normative)
+
+    norms = tuple(
+        NormDecl(d.deontic, plan(d.plan), d.limit, d.relevance, d.roles, d.pre_appraisal) for d in program.norms
+    )
+    return AgentProgram(
+        program.beliefs, program.goals, tuple(map(plan, program.plans)), program.concerns, program.personality,
+        program.roles, norms,
+    )
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_random_societies_equal_the_full_passes(data):
+    """Two to four agents from random programs, ``norms__`` blocks included,
+    perceive the literals their plans trigger on and the norms any of them
+    declares, and get random social feedback.  Every agent-tick equals the
+    full passes, nothing faults, and ``C.I`` stays within its bound: each
+    tick adds at most one intention for an event, and Cope never posts an
+    action whose intention is pending, so at most one per coping action."""
+    ids = [f"a{i}" for i in range(data.draw(st.integers(2, 4), label="agents"))]
+    programs = [addressed(data.draw(_programs(), label=aid), ids) for aid in ids]
+    plans = [p for prog in programs for p in (*prog.plans, *(d.plan for d in prog.norms))]
+    sent = [step_.content for p in plans for step_ in p.body if step_.kind is StepKind.SEND]
+    triggers = {p.trigger.literal for p in plans if p.trigger.type is TriggerType.BELIEF}
+    # a norm(...) literal that is not a norm declaration faults by design
+    assume(all(lit.functor != "norm" for lit in (*sent, *triggers)))
+    texts = sorted(map(render_literal, triggers)) + [render_norm(d) for prog in programs for d in prog.norms]
+    ticks = st.integers(0, SOCIETY_TICKS - 1)
+    pulses = data.draw(
+        st.lists(st.tuples(ticks, st.sampled_from(ids), st.sampled_from(texts)), max_size=12) if texts else st.just([]),
+        label="pulses",
+    )
+    believed = {b for prog in programs for b in prog.beliefs}
+    names = sorted({lit.functor for lit in triggers | believed if not lit.args})  # what feedback can name
+    conditions = st.lists(
+        st.tuples(st.sampled_from(names), st.booleans()), min_size=1, max_size=2, unique_by=lambda c: c[0]
+    )
+    feedback = data.draw(
+        st.lists(st.tuples(ticks, st.sampled_from(ids), conditions, st.sampled_from(FEEDBACK_PAIRS)), max_size=6)
+        if names
+        else st.just([]),
+        label="feedback",
+    )
+    config = ScenarioConfig.from_dict(
+        {
+            "ticks": SOCIETY_TICKS,
+            "agents": [{"id": aid, "program": render(prog)} for aid, prog in zip(ids, programs)],
+            "percepts": [{"agents": [aid], "literal": text, "at": t} for t, aid, text in pulses],
+            "observation": {"authority": ids[0], "reactions": {"comply": [0.6, 0.2], "break": [-0.6, -0.2]}},
+        }
+    )
+    society = Society(config, seed=1)
+    coping = [sum(len(c.actions) for c in agent.P.coping) for agent in society.roster.values()]
+    mail = defaultdict(list)
+    for t, aid, condition, pair in feedback:
+        mail[t].append((aid, msg(render_feedback(condition, pair))))
+    with pytest.MonkeyPatch.context() as mp:
+        quiet = check_against_full_passes(mp)
+        for t in range(SOCIETY_TICKS):
+            for aid, message in mail[t]:
+                society._deliver_copy(message, aid)
+            society.run_tick(t)
+            for agent, actions in zip(society.roster.values(), coping):
+                assert len(agent.C.I) <= t + 1 + actions
+    assert quiet["ticks"] == SOCIETY_TICKS * len(ids)
 
 
 MASKED_CAMPUS = frozenset({("wearing_mask", True), ("in_campus", True)})

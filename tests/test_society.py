@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import nea.society
 from nea import builtin_scenario
 from nea.core import Event, MemKind
-from nea.lang import Literal, TriggerEvent, TriggerKind, TriggerType
+from nea.lang import Literal, TriggerEvent, TriggerKind, TriggerType, parse_agent_program
 from nea.society import (
     METRICS_COLUMNS,
     PerceptPulse,
@@ -169,6 +169,36 @@ def test_scenario_loads_builtin():
             "'params.decay_afect' is not a parameter \\(one of delta, relevance_weight, "
             "relevance_threshold, decay_affect, decay_relevance, deviation_threshold\\)",
         ),
+        ({"params": {"decay_affect": 3}}, "'params.decay_affect' must lie in \\[0, 1\\], got 3"),
+        ({"params": {"decay_affect": -1}}, "'params.decay_affect' must lie in \\[0, 1\\], got -1"),
+        ({"params": {"decay_relevance": -0.5}}, "'params.decay_relevance' must not be negative, got -0.5"),
+        (
+            {"percept": [{"agents": ["a"], "literal": "x", "at": 1}]},
+            "'percept' is not a key \\(one of ticks, agents, name, seed, percepts, observation, params\\)",
+        ),
+        (
+            {"agents": [{"id": "a", "program": "x.\n", "role": ["professor"]}]},
+            "'agents\\[0\\].role' is not a key \\(one of id, program, roles\\)",
+        ),
+        (
+            {"percepts": [{"agents": ["a"], "literal": "x", "from": 0, "periode": 4}]},
+            "'percepts\\[0\\].periode' is not a key \\(one of agents, literal, at, from, period\\)",
+        ),
+        (
+            {"observation": {"feedbak": {}}},
+            "'observation.feedbak' is not a key \\(one of public, authority, reactions, feedback\\)",
+        ),
+        (
+            {"observation": {"feedback": {"target_roles": ["professor"]}}},
+            "'observation.feedback.target_roles' is not a key \\(one of observers, condition, pair, targets_roles\\)",
+        ),
+        (
+            {"observation": {"reactions": {"brake": [-0.6, -0.2]}}},
+            "'observation.reactions.brake' is not a key \\(one of comply, break\\)",
+        ),
+        ({"agents": [{"id": "stu\tdent", "program": "x.\n"}]}, "'agents\\[0\\].id' must be non-empty and printable"),
+        ({"agents": [{"id": "stu\ndent", "program": "x.\n"}]}, "'agents\\[0\\].id' must be non-empty and printable"),
+        ({"agents": [{"id": "", "program": "x.\n"}]}, "'agents\\[0\\].id' must be non-empty and printable"),
     ],
     ids=[
         "broken0-missing 'ticks'",
@@ -228,6 +258,18 @@ def test_scenario_loads_builtin():
         "broken54-'agents\\[0\\].id' '__observers__' is the announcement channel",
         "broken55-'observation.feedback.condition\\[1\\]' 'x\\(1\\)' must be a bare name",
         "broken56-'params.decay_afect' is not a parameter",
+        "decay_affect-above-1",
+        "decay_affect-negative",
+        "decay_relevance-negative",
+        "unknown-key-top-level",
+        "unknown-key-agent",
+        "unknown-key-percept",
+        "unknown-key-observation",
+        "unknown-key-feedback",
+        "unknown-key-reactions",
+        "id-with-tab",
+        "id-with-newline",
+        "id-empty",
     ],
 )
 def test_scenario_rejections(broken, message, tmp_path):
@@ -239,6 +281,11 @@ def test_scenario_rejections(broken, message, tmp_path):
         bad = broken
     with pytest.raises(ScenarioError, match=message):
         ScenarioConfig.from_dict(bad, base=tmp_path)
+
+
+@pytest.mark.parametrize("name, value", [("decay_affect", 0), ("decay_affect", 1), ("decay_relevance", 1.5)])
+def test_decay_rates_at_their_bounds_load(name, value):
+    assert ScenarioConfig.from_dict(raw(params={name: value})).params == {name: value}
 
 
 def test_program_file_that_is_not_utf8_is_keyed(tmp_path):
@@ -346,7 +393,11 @@ def test_agents_from_one_program_share_its_plans_and_own_their_state():
     agents = [{"id": aid, "program": NORMED_PATROL} for aid in ("a", "b")]
     society = Society(ScenarioConfig.from_dict(raw(agents=agents)))
     a, b = society.roster["a"], society.roster["b"]
-    assert a.ps and all(p is q for p, q in zip(a.ps, b.ps, strict=True))
+    own = len(parse_agent_program(NORMED_PATROL).plans)
+    assert own == 2 and len(a.ps) == len(b.ps) == own + 2
+    # the program's plans are shared; each agent generates its own variants
+    assert all(p is q for p, q in zip(a.ps[:own], b.ps[:own], strict=True))
+    assert a.ps[own:] == b.ps[own:] and all(p is not q for p, q in zip(a.ps[own:], b.ps[own:], strict=True))
     assert a.NB[0].plan is b.NB[0].plan and a.NB[0] is not b.NB[0]
     before = copy.deepcopy(b)
     a.ps[0] = a.ps[1]  # a revised plan
