@@ -250,26 +250,22 @@ def _adopt_literal(agent: AgentConfig, lit: Literal, step: str, fault: str) -> s
     return _adopt_norm(agent, decl, nid)
 
 
-@functools.lru_cache(maxsize=256)
-def _program_norm_id(ident: int, decl: NormDecl) -> str:
-    """``norm_id`` of the ``norms__`` entry *decl*, once for all the agents
-    sharing its program.  Keyed by identity (``id(decl)``, kept from reuse
-    by holding *decl*), since equal declarations can render apart."""
-    return norm_id(decl)
-
-
 def agent_from_program(agent_id: str, program: AgentProgram, *, roles: tuple[str, ...] = ()) -> AgentConfig:
     """Construct the initial configuration: s=Perceive, ast=Appr, sigma=(0,0),
     empty circumstance and memory; beliefs are self-sourced.  The ``norms__``
     entries are adopted in order before tick 0, with no belief or trace entry."""
     agent = AgentConfig(
-        id=agent_id, bs={lit: {SOURCE_SELF} for lit in program.beliefs}, ps=list(program.plans),
-        cc=program.concerns, P=program.personality or PersonalityDecl(),
+        id=agent_id,
+        bs={lit: {SOURCE_SELF} for lit in program.beliefs},
+        ps=list(program.plans),
+        cc=program.concerns,
+        P=program.personality or PersonalityDecl(),
         roles=tuple(dict.fromkeys((*program.roles, *roles))),
     )
     for decl in program.norms:
-        _adopt_norm(agent, decl, _program_norm_id(id(decl), decl))
-    agent.C.E.extend(Event(TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, goal)) for goal in program.goals)
+        _adopt_norm(agent, decl, norm_id(decl))
+    for goal in program.goals:
+        agent.C.E.append(Event(TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, goal)))
     return agent
 
 

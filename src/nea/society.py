@@ -108,16 +108,16 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _object(value, key: str, keys: tuple[str, ...] | None = None) -> dict:
+def _object(value, key: str, keys: tuple[str, ...] | None = None, noun: str = "key") -> dict:
     """*value* as an object; given *keys*, one that holds no other key, so
-    a misspelt key is not ignored."""
+    a misspelt key is not ignored (the message calls each key a *noun*)."""
     if not isinstance(value, dict):
         raise ScenarioError(f"scenario {key!r} must be an object, got {value!r}")
     if keys is not None:
         for name in value:
             if name not in keys:
                 where = f"{key}.{name}" if key else name
-                raise ScenarioError(f"scenario {where!r} is not a key (one of {', '.join(keys)})")
+                raise ScenarioError(f"scenario {where!r} is not a {noun} (one of {', '.join(keys)})")
     return value
 
 
@@ -187,8 +187,6 @@ PARAMS = (
 
 def _param(name: str, value, key: str):
     """*value* checked by the rule of the run parameter *name*."""
-    if name not in PARAMS:
-        raise ScenarioError(f"scenario {key!r} is not a parameter (one of {', '.join(PARAMS)})")
     if name == "deviation_threshold":
         return _number_pair(value, key)
     number = _number(value, key)
@@ -365,7 +363,7 @@ class ScenarioConfig(Record):
             observation=observation,
             params={
                 key: _param(key, value, f"params.{key}")
-                for key, value in _object(raw.get("params", {}), "params").items()
+                for key, value in _object(raw.get("params", {}), "params", PARAMS, "parameter").items()
             },
         )
 

@@ -504,16 +504,6 @@ def test_norm_declared_twice_is_held_once():
     assert not agent.bs.keys() - {Literal("in_campus")}, "adoption adds no belief"
 
 
-def test_agents_from_one_program_render_its_norms_once(monkeypatch):
-    renders = []
-    render_norm = nea.core.render_norm
-    monkeypatch.setattr(nea.core, "render_norm", lambda decl: renders.append(decl) or render_norm(decl))
-    nea.cycle._program_norm_id.cache_clear()
-    agents = [build_agent(normed(PATROL_SOURCE, MASK_NORM_TEXT), f"a{i}") for i in range(10)]
-    assert len(renders) == 1
-    assert {agent.NB[0].id for agent in agents} == {norm_id(parse_norm(MASK_NORM_TEXT))}
-
-
 def test_equal_declared_norms_that_render_apart_keep_their_ids():
     texts = [MASK_NORM_TEXT.replace("[0.5,0.5]", pa) for pa in ("[0.0,0.5]", "[-0.0,0.5]")]
     assert parse_norm(texts[0]) == parse_norm(texts[1])
