@@ -39,7 +39,6 @@ from .society import (
     Society,
     _number,
     _number_pair,
-    _param,
     _ticks,
     write_metrics,
     write_trace_meta,
@@ -108,24 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="trace.txt (tab-separated) or trace.jsonl (default: text)",
     )
-    p_run.add_argument("--delta", type=float, default=None, help="override relevance reinforcement step")
-    p_run.add_argument("--decay-affect", type=float, default=None, help="override affect decay rate")
-    p_run.add_argument(
-        "--decay-relevance", type=float, default=None, help="override relevance decay rate"
-    )
-    p_run.add_argument(
-        "--relevance-threshold", type=float, default=None, help="override the active-norm threshold"
-    )
-    p_run.add_argument(
-        "--relevance-weight", type=float, default=None, help="override the utility relevance weight"
-    )
-    p_run.add_argument(
-        "--deviation-threshold",
-        type=_pair,
-        default=None,
-        metavar="P,A",
-        help="override the social-feedback deviation threshold",
-    )
+    # one override flag per run parameter, checked in cmd_run by the parameter's rule
+    for name, (rule, _) in PARAMS.items():
+        pair = rule is _number_pair
+        p_run.add_argument(
+            "--" + name.replace("_", "-"), type=_pair if pair else float, metavar="P,A" if pair else None,
+            help=f"override the scenario's params.{name}",
+        )
 
     p_sweep = sub.add_parser("sweep", help="tabulate comply/break utilities over a grid")
     p_sweep.add_argument("--reb", type=_float_list, default=None, help="rebelliousness values (comma list)")
@@ -190,10 +178,10 @@ def cmd_run(args) -> int:
         # an override flag is held to the rule of the file field it replaces
         if args.ticks is not None:
             config.ticks = _ticks(args.ticks, "--ticks")
-        for name in PARAMS:
+        for name, (rule, _) in PARAMS.items():
             value = getattr(args, name)
             if value is not None:
-                config.params[name] = _param(name, value, "--" + name.replace("_", "-"))
+                config.params[name] = rule(value, "--" + name.replace("_", "-"))
         seed = _resolve_seed(args, config)
         society = Society(config, seed=seed)
     except (ScenarioError, LangError, OSError) as exc:

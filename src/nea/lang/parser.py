@@ -519,14 +519,12 @@ def parse_agent_program(text: str) -> AgentProgram:
     return Parser(tokenize(text)).parse_program()
 
 
-@functools.lru_cache(maxsize=256)
 def parse_plan_text(text: str) -> PlanDef:
     """Parse a single plan, as embedded in norm literals (np__ form allowed).
 
     The trailing '.' is optional here; norm strings conventionally carry it.
-    Every agent that adopts an announced norm reads the same plan text, so
-    each is parsed once; a ``PlanDef`` is immutable, and a text that fails
-    to parse is not cached.
+    It is not cached: each distinct norm text is parsed once already, by
+    ``cycle._declared_norm``, which every agent adopting the norm shares.
     """
     parser = Parser(tokenize(text if text.rstrip().endswith(".") else text + "."))
     return parser._at_end(parser._parse_plan(in_norm=True), "plan")

@@ -95,11 +95,14 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _not_negative(number, key: str):
+    if number < 0:
+        raise ScenarioError(f"scenario {key!r} must not be negative, got {number!r}")
+    return number
+
+
 def _ticks(value, key: str) -> int:
-    ticks = _integer(value, key)
-    if ticks < 0:
-        raise ScenarioError(f"scenario {key!r} must not be negative, got {ticks}")
-    return ticks
+    return _not_negative(_integer(value, key), key)
 
 
 def _number(value, key: str) -> float:
@@ -108,16 +111,22 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _object(value, key: str, keys: tuple[str, ...] | None = None, noun: str = "key") -> dict:
-    """*value* as an object; given *keys*, one that holds no other key, so
-    a misspelt key is not ignored (the message calls each key a *noun*)."""
-    if not isinstance(value, dict):
-        raise ScenarioError(f"scenario {key!r} must be an object, got {value!r}")
-    if keys is not None:
-        for name in value:
-            if name not in keys:
-                where = f"{key}.{name}" if key else name
-                raise ScenarioError(f"scenario {where!r} is not a {noun} (one of {', '.join(keys)})")
+# affect decay scales sigma by 1 - rate: outside [0, 1] it pushes sigma away
+# from neutral; relevance decay subtracts the rate, so any rate >= 0 decays
+def _unit_rate(value, key: str) -> float:
+    number = _number(value, key)
+    if not 0.0 <= number <= 1.0:
+        raise ScenarioError(f"scenario {key!r} must lie in [0, 1], got {value!r}")
+    return number
+
+
+def _rate(value, key: str) -> float:
+    return _not_negative(_number(value, key), key)
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"scenario {key!r} must be a string, got {value!r}")
     return value
 
 
@@ -157,47 +166,141 @@ class ObserverPolicy(Record):
     __slots__ = _fields = ("public", "authority", "reactions", "observers", "condition", "pair", "target_roles")
 
     def __init__(
-        self, public: tuple[str, ...] = (), authority: str | None = None, reactions: dict | None = None,
-        observers: tuple[str, ...] = (), condition: tuple[str, ...] = (),
-        pair: tuple[float, float] = (0.0, 0.0), target_roles: tuple[str, ...] = (),
+        self, public: tuple[str, ...], authority: str | None, reactions: dict, observers: tuple[str, ...],
+        condition: tuple[str, ...], pair: tuple[float, float], targets_roles: tuple[str, ...],
     ) -> None:
         self.public = public  # functors visible in the public digest
         self.authority = authority  # agent answering norm announcements
-        self.reactions = {} if reactions is None else reactions  # variant -> appraisal pair
+        self.reactions = reactions  # variant -> appraisal pair
         self.observers = observers  # agents judging the public state
         self.condition = condition  # literal texts of the punished state
         self.pair = pair  # feedback appraisal
-        self.target_roles = target_roles  # roles whose holders are watched
+        self.target_roles = targets_roles  # roles whose holders are watched
 
 
-#: The keys of each scenario object (docs/scenario.md), by its path.
-_SCENARIO_KEYS = ("ticks", "agents", "name", "seed", "percepts", "observation", "params")
-_AGENT_KEYS = ("id", "program", "roles")
-_PULSE_KEYS = ("agents", "literal", "at", "from", "period")
-_OBSERVATION_KEYS = ("public", "authority", "reactions", "feedback")
-_FEEDBACK_KEYS = ("observers", "condition", "pair", "targets_roles")
-_REACTION_KEYS = ("comply", "break")
+# ----------------------------------------------------------------------
+# the scenario schema: a key table per object and its walker.  A rule
+# ``rule(value, key)`` returns the value as the config holds it, or raises a
+# ScenarioError naming *key*, the value's path.
 
-#: The run parameters a scenario's ``params`` may set; ``EnvironmentView``
-#: holds the default of each one left unset.
-PARAMS = (
-    "delta", "relevance_weight", "relevance_threshold", "decay_affect", "decay_relevance", "deviation_threshold",
-)
+#: The default of a key that a scenario must give.
+REQUIRED = object()
 
 
-def _param(name: str, value, key: str):
-    """*value* checked by the rule of the run parameter *name*."""
-    if name == "deviation_threshold":
-        return _number_pair(value, key)
-    number = _number(value, key)
-    # affect decay scales sigma by 1 - rate: outside [0, 1] it pushes sigma
-    # away from neutral; relevance decay subtracts the rate, so any
-    # non-negative amount is a decay
-    if name == "decay_affect" and not 0.0 <= number <= 1.0:
-        raise ScenarioError(f"scenario {key!r} must lie in [0, 1], got {value!r}")
-    if name == "decay_relevance" and number < 0.0:
-        raise ScenarioError(f"scenario {key!r} must not be negative, got {value!r}")
-    return number
+def _walk(value, key: str, table: dict, noun: str = "key", missing: str = "scenario is missing {}") -> dict:
+    """*value*, an object of only the keys of *table* (another key is not a
+    *noun*), as a dict of each key's value or default passed through its rule;
+    a default of None leaves the key out.  An absent ``REQUIRED`` key raises
+    *missing* with its path, once the present keys have passed."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"scenario {key!r} must be an object, got {value!r}")
+    prefix = f"{key}." if key else ""
+    for name in value:
+        if name not in table:
+            where = f"{prefix}{name}"  # a dict from code, not JSON, may have other keys than strings
+            raise ScenarioError(f"scenario {where!r} is not a {noun} (one of {', '.join(table)})")
+    checked = {}
+    for name, (rule, default) in table.items():
+        if name in value:
+            checked[name] = rule(value[name], prefix + name)
+        elif default is not None and default is not REQUIRED:
+            checked[name] = rule(default, prefix + name)
+    for name, (_, default) in table.items():
+        if default is REQUIRED and name not in value:
+            raise ScenarioError(missing.format(repr(prefix + name)))
+    return checked
+
+
+def _table(path: str, noun: str = "key") -> Callable:
+    """The rule of a key whose value is the object *path* of ``SCHEMA``."""
+    return lambda value, key: _walk(value, key, SCHEMA[path], noun)
+
+
+def _agent_id(value, key: str) -> str:
+    if not _string(value, key) or not value.isprintable():
+        # the id is a field of every trace line and metrics row
+        raise ScenarioError(f"scenario {key!r} must be non-empty and printable, got {value!r}")
+    if value == BROADCAST:
+        raise ScenarioError(f"scenario {key!r} {BROADCAST!r} names every agent")
+    if value == OBSERVER_CHANNEL:
+        raise ScenarioError(f"scenario {key!r} {OBSERVER_CHANNEL!r} is the announcement channel")
+    return value
+
+
+def _agents(value, key: str) -> list[dict]:
+    if not isinstance(value, list):
+        raise ScenarioError(f"scenario {key!r} must be list")
+    if not value:
+        raise ScenarioError("scenario declares no agents")
+    missing = "each agent needs an id and a program: scenario is missing {}"
+    return [_walk(spec, f"{key}[{i}]", SCHEMA["agents"], missing=missing) for i, spec in enumerate(value)]
+
+
+def _percept_literal(value, key: str) -> Literal:
+    try:
+        lit = parse_literal_text(_string(value, key))
+        if lit.functor == "norm":  # Perceive adopts it: it must be a norm
+            norm_from_literal(lit)
+    except LangError as exc:
+        raise ScenarioError(f"scenario {key!r} {value!r}: {exc}") from exc
+    return lit
+
+
+def _period(value, key: str) -> int:
+    if _integer(value, key) <= 0:
+        raise ScenarioError(f"scenario {key!r}: a percept period must be positive, got {value!r}")
+    return value
+
+
+def _pulses(value, key: str) -> list[PerceptPulse]:
+    pulses = []
+    missing = "each percept pulse needs a literal: scenario {} must be a string"
+    for i, spec in enumerate(_array(value, key)):
+        p = _walk(spec, f"{key}[{i}]", SCHEMA["percepts"], missing=missing)
+        if "at" in p and ("from" in p or "period" in p):
+            raise ScenarioError(f"scenario '{key}[{i}]': a percept pulse takes 'at' or 'from'+'period', not both")
+        if "at" not in p and ("from" not in p or "period" not in p):
+            raise ScenarioError(f"scenario '{key}[{i}]': a percept pulse needs 'at' or 'from'+'period'")
+        pulses.append(PerceptPulse(p["agents"], p["literal"], p.get("at"), p.get("from"), p.get("period")))
+    return pulses
+
+
+def _observation(value, key: str) -> ObserverPolicy:
+    obs = _walk(value, key, SCHEMA["observation"])
+    return ObserverPolicy(obs["public"], obs.get("authority"), obs["reactions"], **obs["feedback"])
+
+
+#: The key table of each scenario object, by its path in docs/scenario.md:
+#: {key: (rule, default)}, the default ``REQUIRED``, a JSON value or None.
+SCHEMA = {
+    "scenario": {
+        "ticks": (_ticks, REQUIRED), "agents": (_agents, REQUIRED), "name": (_string, "scenario"),
+        "seed": (_integer, 0), "percepts": (_pulses, ()), "observation": (_observation, {}),
+        "params": (_table("params", "parameter"), {}),
+    },
+    "agents": {"id": (_agent_id, REQUIRED), "program": (_string, REQUIRED), "roles": (_strings, ())},
+    "percepts": {
+        "agents": (_strings, ()), "literal": (_percept_literal, REQUIRED),
+        "at": (_ticks, None), "from": (_integer, None), "period": (_period, None),
+    },
+    "observation": {
+        "public": (_strings, ()), "authority": (_string, None),
+        "reactions": (_table("observation.reactions"), {}), "feedback": (_table("observation.feedback"), {}),
+    },
+    "observation.feedback": {
+        "observers": (_strings, ()), "condition": (_array, ()),  # each a public bare name: see from_dict
+        "pair": (_number_pair, (0.0, 0.0)), "targets_roles": (_strings, ()),
+    },
+    "observation.reactions": {"comply": (_number_pair, None), "break": (_number_pair, None)},
+    # a parameter left unset keeps its EnvironmentView default
+    "params": {
+        "delta": (_number, None), "relevance_weight": (_number, None), "relevance_threshold": (_number, None),
+        "decay_affect": (_unit_rate, None), "decay_relevance": (_rate, None),
+        "deviation_threshold": (_number_pair, None),
+    },
+}
+#: The run parameters a scenario's ``params`` may set.
+PARAMS = SCHEMA["params"]
 
 
 class ScenarioConfig(Record):
@@ -205,12 +308,12 @@ class ScenarioConfig(Record):
 
     def __init__(
         self, name: str, ticks: int, seed: int, agents: list[dict], pulses: list[PerceptPulse],
-        observation: ObserverPolicy, params: dict | None = None,
+        observation: ObserverPolicy, params: dict,
     ) -> None:
         self.name, self.ticks, self.seed = name, ticks, seed
         self.agents = agents  # {"id", "program" (source text), "roles"}
         self.pulses, self.observation = pulses, observation
-        self.params = {} if params is None else params  # the PARAMS set, by name
+        self.params = params  # the PARAMS set, by name
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
@@ -225,120 +328,41 @@ class ScenarioConfig(Record):
     def from_dict(cls, raw: dict, base: Path | None = None) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ScenarioError(f"a scenario must be a JSON object, got {raw!r}")
-        _object(raw, "", _SCENARIO_KEYS)
+        scenario = _walk(raw, "", SCHEMA["scenario"])
 
-        def need(key, typ):
-            if key not in raw:
-                raise ScenarioError(f"scenario is missing {key!r}")
-            value = raw[key]
-            if not isinstance(value, typ):
-                raise ScenarioError(f"scenario {key!r} must be {typ.__name__}")
-            return value
-
-        agents_raw = need("agents", list)
-        if not agents_raw:
-            raise ScenarioError("scenario declares no agents")
-        agents: list[dict] = []
+        # the checks that span objects
         seen: set[str] = set()
         texts: dict[str, str] = {}  # each program file, read once, by its name as written
-        for i, spec in enumerate(agents_raw):
-            if not isinstance(spec, dict) or "id" not in spec or "program" not in spec:
-                raise ScenarioError("each agent needs an id and a program")
-            _object(spec, f"agents[{i}]", _AGENT_KEYS)
-            if not isinstance(spec["id"], str):
-                raise ScenarioError(f"scenario 'agents[{i}].id' must be a string, got {spec['id']!r}")
-            if not spec["id"] or not spec["id"].isprintable():
-                # the id is a field of every trace line and metrics row
-                raise ScenarioError(
-                    f"scenario 'agents[{i}].id' must be non-empty and printable, got {spec['id']!r}"
-                )
-            if spec["id"] == BROADCAST:
-                raise ScenarioError(f"scenario 'agents[{i}].id' {BROADCAST!r} names every agent")
-            if spec["id"] == OBSERVER_CHANNEL:
-                raise ScenarioError(
-                    f"scenario 'agents[{i}].id' {OBSERVER_CHANNEL!r} is the announcement channel"
-                )
+        for i, spec in enumerate(scenario["agents"]):
             if spec["id"] in seen:
-                raise ScenarioError(f"duplicate agent id {spec['id']!r}")
+                raise ScenarioError(f"scenario 'agents[{i}].id': duplicate agent id {spec['id']!r}")
             seen.add(spec["id"])
             source = spec["program"]
-            if not isinstance(source, str):
-                raise ScenarioError(f"scenario 'agents[{i}].program' must be a string, got {source!r}")
             if source.endswith(".nea"):
                 if base is None:
-                    raise ScenarioError("program file paths need a scenario directory")
+                    raise ScenarioError(f"scenario 'agents[{i}].program': a program file needs a scenario directory")
                 if source not in texts:
                     try:
                         texts[source] = (base / source).read_text(encoding="utf-8")
                     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in the name
                         raise ScenarioError(f"scenario 'agents[{i}].program': {exc}") from exc
-                source = texts[source]
-            agents.append(
-                {
-                    "id": spec["id"],
-                    "program": source,
-                    "roles": _strings(spec.get("roles", ()), f"agents[{i}].roles"),
-                }
-            )
+                spec["program"] = texts[source]
 
-        pulses: list[PerceptPulse] = []
-        for i, p in enumerate(_array(raw.get("percepts", ()), "percepts")):
-            key = f"percepts[{i}]"
-            _object(p, key, _PULSE_KEYS)
-            targets = _strings(p.get("agents", ()), f"{key}.agents")
-            unknown = [a for a in targets if a not in seen]
+        for i, pulse in enumerate(scenario["percepts"]):
+            unknown = [a for a in pulse.agents if a not in seen]
             if unknown:
-                raise ScenarioError(f"percept pulse targets unknown agents {unknown}")
-            text = p.get("literal")
-            if not isinstance(text, str):
-                raise ScenarioError(f"scenario '{key}.literal' must be a string, got {text!r}")
-            try:
-                lit = parse_literal_text(text)
-                if lit.functor == "norm":  # Perceive adopts it: it must be a norm
-                    norm_from_literal(lit)
-            except LangError as exc:
-                raise ScenarioError(f"scenario '{key}.literal' {text!r}: {exc}") from exc
-            if "at" in p:
-                pulses.append(PerceptPulse(targets, lit, at=_integer(p["at"], f"{key}.at")))
-            elif "from" in p and "period" in p:
-                start = _integer(p["from"], f"{key}.from")
-                period = _integer(p["period"], f"{key}.period")
-                if period <= 0:
-                    raise ScenarioError(f"{key}: percept period must be positive")
-                pulses.append(PerceptPulse(targets, lit, start=start, period=period))
-            else:
-                raise ScenarioError(f"{key}: percept pulse needs 'at' or 'from'+'period'")
+                raise ScenarioError(f"scenario 'percepts[{i}].agents': percept pulse targets unknown agents {unknown}")
 
-        obs_raw = _object(raw.get("observation", {}), "observation", _OBSERVATION_KEYS)
-        feedback = _object(obs_raw.get("feedback", {}), "observation.feedback", _FEEDBACK_KEYS)
-        reactions = _object(obs_raw.get("reactions", {}), "observation.reactions", _REACTION_KEYS)
-        authority = obs_raw.get("authority")
-        if authority is not None and not isinstance(authority, str):
-            raise ScenarioError(f"scenario 'observation.authority' must be a string, got {authority!r}")
-        observation = ObserverPolicy(
-            public=_strings(obs_raw.get("public", ()), "observation.public"),
-            authority=authority,
-            reactions={
-                k: _number_pair(v, f"observation.reactions.{k}") for k, v in reactions.items()
-            },
-            observers=_strings(feedback.get("observers", ()), "observation.feedback.observers"),
-            condition=_array(feedback.get("condition", ()), "observation.feedback.condition"),
-            pair=_number_pair(feedback.get("pair", (0.0, 0.0)), "observation.feedback.pair"),
-            target_roles=_strings(
-                feedback.get("targets_roles", ()), "observation.feedback.targets_roles"
-            ),
-        )
+        observation = scenario["observation"]
         if observation.authority is not None and observation.authority not in seen:
-            raise ScenarioError(f"observation authority {observation.authority!r} is not an agent")
+            raise ScenarioError(f"scenario 'observation.authority' {observation.authority!r} is not an agent")
         for obs in observation.observers:
             if obs not in seen:
-                raise ScenarioError(f"observer {obs!r} is not an agent")
+                raise ScenarioError(f"scenario 'observation.feedback.observers' {obs!r} is not an agent")
         for i, text in enumerate(observation.condition):
             key = f"observation.feedback.condition[{i}]"
-            if not isinstance(text, str):
-                raise ScenarioError(f"scenario '{key}' must be a string, got {text!r}")
             try:
-                lit = parse_literal_text(text)
+                lit = parse_literal_text(_string(text, key))
             except LangError as exc:
                 raise ScenarioError(f"scenario '{key}' {text!r}: {exc}") from exc
             if lit.args:
@@ -351,21 +375,7 @@ class ScenarioConfig(Record):
                     f"scenario '{key}' {text!r} is not public (observation.public: {list(observation.public)})"
                 )
 
-        name = raw.get("name", "scenario")
-        if not isinstance(name, str):
-            raise ScenarioError(f"scenario 'name' must be a string, got {name!r}")
-        return cls(
-            name=name,
-            ticks=_ticks(need("ticks", object), "ticks"),
-            seed=_integer(raw.get("seed", 0), "seed"),
-            agents=agents,
-            pulses=pulses,
-            observation=observation,
-            params={
-                key: _param(key, value, f"params.{key}")
-                for key, value in _object(raw.get("params", {}), "params", PARAMS, "parameter").items()
-            },
-        )
+        return cls(pulses=scenario.pop("percepts"), **scenario)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from nea import builtin_scenario
 from nea.cli import main
 from nea.core import StepLabel
 from nea.cycle import InterpreterFault
-from nea.society import METRICS_COLUMNS
+from nea.society import METRICS_COLUMNS, PARAMS
 
 from conftest import CORPUS_DIR
 
@@ -215,6 +215,20 @@ def test_run_parameter_reaches_the_interpreter(tmp_path, name):
     assert _digests(tmp_path / "by-file") == pinned
 
 
+def test_each_parameter_has_one_pinned_flag(capsys):
+    assert set(PARAMETER_PINS) == set(PARAMS)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    # the options list starts one line per flag; the usage lines wrap theirs
+    flags = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.startswith("  --")]
+    for name in PARAMS:
+        assert flags.count("--" + name.replace("_", "-")) == 1
+    assert sorted(set(flags) - {"--ticks", "--seed", "--out", "--trace-format"}) == sorted(
+        "--" + name.replace("_", "-") for name in PARAMS
+    )
+
+
 @pytest.mark.parametrize("trace_format", ["text", "structured"])
 def test_run_fault_leaves_no_outputs(tmp_path, monkeypatch, capsys, trace_format):
     inner = nea.cycle.step
@@ -381,6 +395,9 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
          "observation.reactions.brake"),
         # an id is one field of every trace line
         (lambda spec: spec["agents"][3].update(id="stu\tdent"), "agents[3].id"),
+        # a pulse fires once or periodically, and never before tick 0
+        (lambda spec: spec["percepts"][0].update(period=24), "percepts[0]"),
+        (lambda spec: spec["percepts"][0].update(at=-3), "percepts[0].at"),
     ],
     ids=[
         "<lambda>-params.delta",
@@ -405,6 +422,8 @@ def test_run_short_reaction_pair_exits_2(tmp_path, capsys):
         "<lambda>-percept",
         "<lambda>-observation.reactions.brake",
         "<lambda>-agents[3].id-tab",
+        "<lambda>-percepts[0]-at-and-period",
+        "<lambda>-percepts[0].at-negative",
     ],
 )
 def test_run_malformed_field_exits_2(tmp_path, capsys, edit, key):

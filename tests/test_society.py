@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from nea.core import Event, MemKind
 from nea.lang import Literal, TriggerEvent, TriggerKind, TriggerType, parse_agent_program
 from nea.society import (
     METRICS_COLUMNS,
+    REQUIRED,
+    SCHEMA,
     PerceptPulse,
     ScenarioConfig,
     ScenarioError,
@@ -199,6 +202,15 @@ def test_scenario_loads_builtin():
         ({"agents": [{"id": "stu\tdent", "program": "x.\n"}]}, "'agents\\[0\\].id' must be non-empty and printable"),
         ({"agents": [{"id": "stu\ndent", "program": "x.\n"}]}, "'agents\\[0\\].id' must be non-empty and printable"),
         ({"agents": [{"id": "", "program": "x.\n"}]}, "'agents\\[0\\].id' must be non-empty and printable"),
+        (
+            {"percepts": [{"agents": ["a"], "literal": "x", "at": 1, "from": 0, "period": 4}]},
+            "'percepts\\[0\\]': a percept pulse takes 'at' or 'from'\\+'period', not both",
+        ),
+        (
+            {"percepts": [{"agents": ["a"], "literal": "x", "at": 1, "period": 0}]},
+            "'percepts\\[0\\].period': a percept period must be positive",
+        ),
+        ({"percepts": [{"agents": ["a"], "literal": "x", "at": -3}]}, "'percepts\\[0\\].at' must not be negative"),
     ],
     ids=[
         "broken0-missing 'ticks'",
@@ -270,6 +282,9 @@ def test_scenario_loads_builtin():
         "id-with-tab",
         "id-with-newline",
         "id-empty",
+        "pulse-at-with-from-and-period",
+        "pulse-at-with-period-0",
+        "pulse-at-negative",
     ],
 )
 def test_scenario_rejections(broken, message, tmp_path):
@@ -304,14 +319,13 @@ def test_scenario_file_that_does_not_decode_is_keyed(tmp_path, text):
 
 # Values a mutation puts in place of a scenario field: wrong types, bad
 # pairs, bad literals, unknown agents, non-finite and oversized numbers.
-JUNK = st.sampled_from(
-    [
-        None, True, 0, -1, 3, 1.5, 10**400, float("nan"), float("inf"),
-        "", "x", "??!", "x(", "norm(", "ghost", "missing.nea", "ALL",
-        [], [1], [0.1, 0.2], [0.1, 0.2, 0.3], ["a", 0.5], [[0.6, 0.2]], ["ghost"], ["x", "x"],
-        {}, {"a": 1}, {"at": 1}, {"agents": ["ghost"], "literal": "x", "at": 1},
-    ]
-)
+JUNK_VALUES = [
+    None, True, 0, -1, 3, 1.5, 10**400, float("nan"), float("inf"),
+    "", "x", "??!", "x(", "norm(", "ghost", "missing.nea", "ALL",
+    [], [1], [0.1, 0.2], [0.1, 0.2, 0.3], ["a", 0.5], [[0.6, 0.2]], ["ghost"], ["x", "x"],
+    {}, {"a": 1}, {"at": 1}, {"agents": ["ghost"], "literal": "x", "at": 1},
+]
+JUNK = st.sampled_from(JUNK_VALUES)
 
 
 def _paths(node, prefix=()):
@@ -345,13 +359,96 @@ def mutated_mask(draw) -> dict:
     return scenario
 
 
-@settings(max_examples=300, deadline=None)
-@given(scenario=mutated_mask())
-def test_mutated_scenarios_load_or_raise_scenario_error(scenario):
+def _objects(scenario: dict):
+    """Each (object, its key path, its key table) of *scenario* that a table
+    of the schema checks."""
+    yield scenario, "", SCHEMA["scenario"]
+    for path, table in SCHEMA.items():
+        node = scenario
+        for part in path.split("."):
+            node = node.get(part) if isinstance(node, dict) else None
+        if isinstance(node, list):
+            yield from ((item, f"{path}[{i}]", table) for i, item in enumerate(node))
+        elif isinstance(node, dict):
+            yield node, path, table
+
+
+def _rejects(rule, value, key: str) -> bool:
     try:
-        Society(ScenarioConfig.from_dict(scenario, base=builtin_scenario("mask").parent))
+        rule(copy.deepcopy(value), key)
+    except ScenarioError:
+        return True
+    return False
+
+
+@st.composite
+def schema_broken_mask(draw) -> tuple[dict, str]:
+    """The mask scenario with one key broken as the schema reads it: a key
+    misspelt, a required key deleted, or a value that the key's rule
+    rejects; and the path of that key, which the error must name."""
+    scenario = json.loads(builtin_scenario("mask").read_text(encoding="utf-8"))
+    obj, path, table = draw(st.sampled_from(list(_objects(scenario))))
+
+    def where(name: str) -> str:
+        return f"{path}.{name}" if path else name
+
+    required = [name for name in obj if table[name][1] is REQUIRED]
+    action = draw(st.sampled_from(["misspell", "reject", *(["delete"] if required else [])]))
+    if action == "misspell":
+        spelt = draw(st.sampled_from(sorted(obj)))
+        name = spelt[:-1]
+        assert name not in table
+        obj[name] = obj.pop(spelt)
+    elif action == "delete":
+        name = draw(st.sampled_from(required))
+        del obj[name]
+    else:
+        name = draw(st.sampled_from(list(table)))
+        rejected = [v for v in JUNK_VALUES if _rejects(table[name][0], v, where(name))]
+        obj[name] = copy.deepcopy(draw(st.sampled_from(rejected)))
+    return scenario, where(name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=mutated_mask(), broken=schema_broken_mask())
+def test_mutated_scenarios_load_or_raise_scenario_error(scenario, broken):
+    base = builtin_scenario("mask").parent
+    try:
+        Society(ScenarioConfig.from_dict(scenario, base=base))
     except ScenarioError:
         pass
+    scenario, key = broken
+    with pytest.raises(ScenarioError) as exc:
+        ScenarioConfig.from_dict(scenario, base=base)
+    assert key in str(exc.value)
+
+
+def _documented_keys(text: str) -> dict:
+    """The key tables of docs/scenario.md, by the heading each is under
+    (backticks dropped, the top level's read as "scenario"): each row's
+    key -> (required, default), as written."""
+    tables, heading = {}, None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            heading = line.lstrip("#").strip().strip("`")
+            heading = "scenario" if heading == "Top-level keys" else heading
+        row = re.match(r"\|\s*`(\w+)`\s*\|\s*(yes|no)\s*\|\s*(.*?)\s*\|", line)
+        if row:
+            tables.setdefault(heading, {})[row[1]] = (row[2], row[3])
+    return tables
+
+
+def test_scenario_docs_tables_match_the_schema():
+    docs = (Path(__file__).parents[1] / "docs" / "scenario.md").read_text(encoding="utf-8")
+    expected = {}
+    for path, table in SCHEMA.items():
+        rows = expected[path] = {}
+        for key, (_, default) in table.items():
+            if path == "params":  # the schema leaves an unset parameter out: the run's default holds
+                default = getattr(EnvironmentView(), key)
+            text = "—" if default is None or default is REQUIRED else f"`{json.dumps(default)}`"
+            rows[key] = ("yes" if default is REQUIRED else "no", text)
+    assert _documented_keys(docs) == expected
 
 
 def test_scenario_program_paths_need_a_directory():
