@@ -31,6 +31,7 @@ from .lang import (
     TriggerType,
     render_literal,
 )
+from .norms import BREAK, COMPLY
 
 # ----------------------------------------------------------------------
 # appraisal and affective state
@@ -105,6 +106,11 @@ def cope(strategies: list[CopingStrategy], agent: AgentConfig) -> list[Intention
 # belief synchronisation (AffModB)
 
 
+def belief_event(kind: TriggerKind, lit: Literal) -> Event:
+    """The event of the belief *lit* added (``TriggerKind.ADD``) or deleted."""
+    return Event(TriggerEvent(kind, TriggerType.BELIEF, lit))
+
+
 def sync_beliefs(agent: AgentConfig, tick: int) -> dict:
     """Apply the pending belief updates, queueing an event per actual change
     and converting queued appraisals into memory events.  Returns a summary
@@ -116,20 +122,16 @@ def sync_beliefs(agent: AgentConfig, tick: int) -> dict:
     for entry in agent.Ta.Ub:
         if entry.kind is UbKind.ADD:
             if agent.add_belief(entry.literal, entry.source):
-                agent.C.E.append(
-                    Event(TriggerEvent(TriggerKind.ADD, TriggerType.BELIEF, entry.literal))
-                )
+                agent.C.E.append(belief_event(TriggerKind.ADD, entry.literal))
                 added.append(render_literal(entry.literal))
         elif entry.kind is UbKind.DEL:
             if agent.remove_belief(entry.literal, entry.source):
-                agent.C.E.append(
-                    Event(TriggerEvent(TriggerKind.DEL, TriggerType.BELIEF, entry.literal))
-                )
+                agent.C.E.append(belief_event(TriggerKind.DEL, entry.literal))
                 removed.append(render_literal(entry.literal))
         else:  # UbKind.APPRAISE
-            if entry.variant == "comply":
+            if entry.variant == COMPLY:
                 kind = MemKind.OWN_COMPLIANCE
-            elif entry.variant == "break":
+            elif entry.variant == BREAK:
                 kind = MemKind.OWN_VIOLATION
             else:
                 kind = MemKind.SELF_APPRAISAL

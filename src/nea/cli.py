@@ -194,13 +194,14 @@ def cmd_run(args) -> int:
     structured = args.trace_format == "structured"
     trace_path = out / ("trace.jsonl" if structured else "trace.txt")
     write_trace = write_trace_structured if structured else write_trace_text
+    templates: dict = {}  # the quiet-tick templates of this run's trace
     try:
         # both files stream into their temp files tick by tick and are
         # renamed into place only once the run has finished
         with _atomic_file(trace_path) as trace_fh, _atomic_file(metrics_path) as metrics_fh:
 
             def sink(entries, rows) -> None:
-                write_trace(entries, trace_fh)
+                write_trace(entries, trace_fh, templates)
                 write_metrics(rows, metrics_fh)
 
             if structured:

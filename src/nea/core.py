@@ -248,7 +248,7 @@ class FeedbackRecord(Record):
     """Accumulated social feedback for one belief-condition set."""
 
     _fields = ("condition", "accumulated", "count")  # compared and shown
-    __slots__ = _fields + ("settled",)
+    __slots__ = _fields + ("settled", "text")
 
     def __init__(
         self, condition: frozenset, accumulated: AffectPair = (0.0, 0.0), count: int = 0,
@@ -256,6 +256,9 @@ class FeedbackRecord(Record):
     ) -> None:
         self.condition = condition  # frozenset[tuple[str, bool]]: (literal text, present?)
         self.accumulated, self.count = accumulated, count
+        # the record's key in the decay payload: its condition literals,
+        # signed and sorted; the condition never changes
+        self.text = "|".join(sorted(("+" if present else "-") + text for text, present in condition))
         # what the last social-norm detection that flagged nothing read; None
         # until then (see cycle.run_affective_cycle)
         self.settled = settled

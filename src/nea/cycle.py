@@ -38,8 +38,9 @@ feedback record is settled.  Its three passes would change nothing but
 decay, and would emit the fifteen entries of ``_QUIET_ROWS`` (nine of them
 ``idle``; only the UpAs sigma text varies), then the decay entry.  ``tick``
 does just that and returns the agent-tick as one record,
-``QuietTick(tick, agent, upas, decay)``: the trace writers render it from a
-template built once per agent, and ``QuietTick.entries`` (or ``expand``
+``QuietTick(tick, agent, upas, decay)``: a trace writer renders it from a
+template it builds on the agent's first quiet tick and keeps for the run
+(``society.write_trace_text``), and ``QuietTick.entries`` (or ``expand``
 over a list of entries and records) gives back the sixteen entries.  The
 invariant checks read sigma, norm relevance, plan norm ids, ``C.I``,
 ``T.R``/``T.Ap``, ``M.In`` and ``Mem``, none of which an idle step changes,
@@ -50,12 +51,12 @@ other agent walks the step machine and runs the full affective pass.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .affect import (
     affect_decay,
     appraise,
+    belief_event,
     believed_condition,
     cope,
     detect_social_norm,
@@ -175,13 +176,16 @@ class EnvironmentView(Record):
 
     ``fraction`` maps a norm's affected-roles spec ("ALL" or a role tuple)
     to the fraction of society holding one of those roles; by default the
-    whole society counts as affected.
+    whole society counts as affected.  ``norms`` maps each norm text the
+    run's agents perceived or were told to its ``(NormDecl, id)``, built
+    once for every agent adopting that norm (see ``_adopt_literal``).
     """
 
-    __slots__ = _fields = (
+    _fields = (
         "tick", "n_agents", "percepts", "fraction", "relevance_threshold", "relevance_weight",
         "delta", "decay_affect", "decay_relevance", "deviation_threshold",
     )
+    __slots__ = _fields + ("norms",)
 
     def __init__(
         self, tick: int = 0, n_agents: int = 1, percepts: set | None = None, fraction=_whole_society,
@@ -194,6 +198,7 @@ class EnvironmentView(Record):
         self.relevance_threshold, self.relevance_weight, self.delta = relevance_threshold, relevance_weight, delta
         self.decay_affect, self.decay_relevance = decay_affect, decay_relevance
         self.deviation_threshold = deviation_threshold
+        self.norms: dict[str, tuple[NormDecl, str]] = {}
 
 
 class TraceEntry(Record):
@@ -217,16 +222,6 @@ def _entry(agent: AgentConfig, env: EnvironmentView, step_name: str, summary: st
 # normative pass: one function per step label
 
 
-@functools.lru_cache(maxsize=256)
-def _declared_norm(text: str, lit: Literal) -> tuple:
-    """The ``NormDecl`` of the norm literal *lit* and its id, once for every
-    agent perceiving or told it.  The key holds *lit*'s *text* too: equal
-    literals can render apart (``0.0`` and ``-0.0``) and so have different
-    ids.  A malformed norm raises ``LangError`` and is not cached."""
-    decl = norm_from_literal(lit)
-    return decl, norm_id(decl)
-
-
 def _adopt_norm(agent: AgentConfig, decl: NormDecl, nid: str) -> str | None:
     """Adopt *decl* under its id *nid*, whether declared, perceived or told:
     the agent's own ``NormativeBelief``, the comply/break variants after the
@@ -240,14 +235,19 @@ def _adopt_norm(agent: AgentConfig, decl: NormDecl, nid: str) -> str | None:
     return nid
 
 
-def _adopt_literal(agent: AgentConfig, lit: Literal, step: str, fault: str) -> str | None:
+def _adopt_literal(agent: AgentConfig, env: EnvironmentView, lit: Literal, step: str, fault: str) -> str | None:
     """Adopt the norm a perceived or told ``norm(...)`` literal declares; a
-    malformed one raises the ``InterpreterFault`` at *step* reading *fault*."""
-    try:
-        decl, nid = _declared_norm(lit.text, lit)
-    except LangError as exc:
-        raise InterpreterFault(agent.id, step, f"{fault}: {exc}") from exc
-    return _adopt_norm(agent, decl, nid)
+    malformed one raises the ``InterpreterFault`` at *step* reading *fault*.
+    Its ``NormDecl`` and id are built once per run, into ``env.norms``.  The
+    key is *lit*'s text, not *lit*: equal literals can render apart (``0.0``
+    and ``-0.0``) and so have different ids."""
+    if lit.text not in env.norms:
+        try:
+            decl = norm_from_literal(lit)
+        except LangError as exc:
+            raise InterpreterFault(agent.id, step, f"{fault}: {exc}") from exc
+        env.norms[lit.text] = decl, norm_id(decl)
+    return _adopt_norm(agent, *env.norms[lit.text])
 
 
 def agent_from_program(agent_id: str, program: AgentProgram, *, roles: tuple[str, ...] = ()) -> AgentConfig:
@@ -275,7 +275,7 @@ def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     adopted: list[str] = []
     for lit in sorted(new_p, key=render_literal):
         queue_belief_add(agent, lit, SOURCE_PERCEPT)
-        if lit.functor == "norm" and (nid := _adopt_literal(agent, lit, "Perceive", "bad norm percept")):
+        if lit.functor == "norm" and (nid := _adopt_literal(agent, env, lit, "Perceive", "bad norm percept")):
             adopted.append(nid)
     for lit in sorted(rem_p, key=render_literal):
         queue_belief_del(agent, lit, SOURCE_PERCEPT)
@@ -316,7 +316,7 @@ def process_message(
     if message.ilf is Ilf.Untell:
         lit = _content_literal(agent, content)
         if agent.remove_belief(lit, message.sender):
-            agent.C.E.append(Event(_del_trigger(lit)))
+            agent.C.E.append(belief_event(TriggerKind.DEL, lit))
         return f"untell {content} from {message.sender}", StepLabel.SelEv, {}
 
     if message.norm is not None:
@@ -366,12 +366,12 @@ def process_message(
 
     lit = _content_literal(agent, content)
     if lit.functor == "norm":
-        nid = _adopt_literal(agent, lit, "ProcMsg", f"bad norm message {content!r}")
+        nid = _adopt_literal(agent, env, lit, "ProcMsg", f"bad norm message {content!r}")
         summary, payload = f"norm from {message.sender}: " + (nid or "already held"), {"adopted": nid}
     else:
         summary, payload = f"tell {content} from {message.sender}", {}
     if agent.add_belief(lit, message.sender):
-        agent.C.E.append(Event(_add_trigger(lit)))
+        agent.C.E.append(belief_event(TriggerKind.ADD, lit))
     return summary, StepLabel.SelEv, payload
 
 
@@ -380,14 +380,6 @@ def _content_literal(agent: AgentConfig, content: str) -> Literal:
         return parse_literal_text(content)
     except LangError as exc:
         raise InterpreterFault(agent.id, "ProcMsg", f"bad message content {content!r}: {exc}") from exc
-
-
-def _add_trigger(lit: Literal) -> TriggerEvent:
-    return TriggerEvent(TriggerKind.ADD, TriggerType.BELIEF, lit)
-
-
-def _del_trigger(lit: Literal) -> TriggerEvent:
-    return TriggerEvent(TriggerKind.DEL, TriggerType.BELIEF, lit)
 
 
 def _step_procmsg(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -780,16 +772,8 @@ def run_decay(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         sigma=[sig[0], sig[1]],
         relevance={nb.id: nb.relevance for nb in agent.NB},
         beliefs=list(agent.belief_texts()),
-        feedback={_condition_text(key): list(rec.accumulated) for key, rec in agent.feedback.items()},
+        feedback={rec.text: list(rec.accumulated) for rec in agent.feedback.values()},
     )
-
-
-@functools.lru_cache(maxsize=1024)
-def _condition_text(condition: frozenset) -> str:
-    """A feedback record's key in the decay payload: its condition literals,
-    signed and sorted.  A record's condition never changes, so each is
-    rendered once."""
-    return "|".join(sorted(("+" if present else "-") + text for text, present in condition))
 
 
 # ----------------------------------------------------------------------

@@ -507,14 +507,12 @@ def norm_from_literal(lit: Literal, line: int | None = None, col: int | None = N
 # public entry points
 
 
-@functools.lru_cache(maxsize=64)
 def parse_agent_program(text: str) -> AgentProgram:
     """Parse a full agent definition.
 
     Raises LexError / ParseError / SemanticError with 1-based positions.
-    A society runs many agents from a few programs, so each text is parsed
-    once; an ``AgentProgram`` is immutable, and a text that fails to parse
-    is not cached.
+    It is not cached: a ``Society`` parses each distinct program text of
+    its roster once, and its agents share the immutable ``AgentProgram``.
     """
     return Parser(tokenize(text)).parse_program()
 
@@ -523,8 +521,9 @@ def parse_plan_text(text: str) -> PlanDef:
     """Parse a single plan, as embedded in norm literals (np__ form allowed).
 
     The trailing '.' is optional here; norm strings conventionally carry it.
-    It is not cached: each distinct norm text is parsed once already, by
-    ``cycle._declared_norm``, which every agent adopting the norm shares.
+    It is not cached: a run parses each distinct norm text once already,
+    into ``EnvironmentView.norms``, which every agent adopting the norm
+    shares.
     """
     parser = Parser(tokenize(text if text.rstrip().endswith(".") else text + "."))
     return parser._at_end(parser._parse_plan(in_norm=True), "plan")

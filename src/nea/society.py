@@ -44,6 +44,7 @@ from .cycle import (
     tick as agent_tick,
 )
 from .lang import (
+    AgentProgram,
     LangError,
     Literal,
     norm_from_literal,
@@ -420,13 +421,16 @@ class Society:
         self.seed = config.seed if seed is None else seed
         self.rng = random.Random(self.seed)
         self.roster: dict[str, AgentConfig] = {}
+        programs: dict[str, AgentProgram] = {}  # a society runs many agents from a few programs
         for spec in config.agents:
-            try:
-                program = parse_agent_program(spec["program"])
-            except LangError as exc:
-                where = f"{exc.line}:{exc.col}: " if exc.line is not None else ""
-                raise ScenarioError(f"agent {spec['id']!r}: {where}{exc.message}") from exc
-            self.roster[spec["id"]] = agent_from_program(spec["id"], program, roles=spec["roles"])
+            text = spec["program"]
+            if text not in programs:
+                try:
+                    programs[text] = parse_agent_program(text)
+                except LangError as exc:
+                    where = f"{exc.line}:{exc.col}: " if exc.line is not None else ""
+                    raise ScenarioError(f"agent {spec['id']!r}: {where}{exc.message}") from exc
+            self.roster[spec["id"]] = agent_from_program(spec["id"], programs[text], roles=spec["roles"])
         # a norm's roles spec is "ALL" or a tuple, and the roster never changes
         fraction = functools.cache(functools.partial(fraction_affected, self.roster))
         self.env = EnvironmentView(n_agents=len(self.roster), fraction=fraction, **config.params)
@@ -669,14 +673,19 @@ def _quiet_template(agent: str, line: Callable[[TraceEntry], str], split) -> tup
     return (*pieces[:at], before), (after, *pieces[at + 1 :])
 
 
-def _write_items(trace: list[TraceItem], fh: TextIOBase, line: Callable[[TraceEntry], str], template) -> None:
-    """Write *line* of each entry; a ``QuietTick`` from *template* (its
-    agent's ``_quiet_template``), then its decay entry's line."""
+def _write_items(
+    trace: list[TraceItem], fh: TextIOBase, templates: dict, line: Callable[[TraceEntry], str], split
+) -> None:
+    """Write *line* of each entry; a ``QuietTick`` from its agent's
+    ``_quiet_template(agent, line, split)``, built on the agent's first
+    record and kept in *templates*, then its decay entry's line."""
 
     def lines():
         for item in trace:
             if type(item) is QuietTick:
-                head, tail = template(item.agent)
+                if item.agent not in templates:
+                    templates[item.agent] = _quiet_template(item.agent, line, split)
+                head, tail = templates[item.agent]
                 t = str(item.tick)
                 yield t.join(head) + item.upas + t.join(tail) + line(item.decay)
             else:
@@ -689,15 +698,12 @@ def _text_line(e: TraceEntry) -> str:
     return e.text() + "\n"
 
 
-@functools.lru_cache(maxsize=4096)
-def _text_template(agent: str) -> tuple[tuple, tuple]:
-    return _quiet_template(agent, _text_line, str.partition)
-
-
-def write_trace_text(trace: list[TraceItem], fh: TextIOBase) -> None:
+def write_trace_text(trace: list[TraceItem], fh: TextIOBase, templates: dict) -> None:
     """Append one ``TraceEntry.text()`` line per entry, sixteen per
-    ``QuietTick``."""
-    _write_items(trace, fh, _text_line, _text_template)
+    ``QuietTick``.  *templates* holds the quiet-tick templates of one
+    run's text trace: pass the same dict, empty at first, on every call
+    for that trace, and no other writer's."""
+    _write_items(trace, fh, templates, _text_line, str.partition)
 
 
 def write_trace_meta(meta: dict, fh: TextIOBase) -> None:
@@ -750,11 +756,7 @@ def _structured_line(e: TraceEntry) -> str:
     )
 
 
-@functools.lru_cache(maxsize=4096)
-def _structured_template(agent: str) -> tuple[tuple, tuple]:
-    return _quiet_template(agent, _structured_line, str.rpartition)
-
-
-def write_trace_structured(trace: list[TraceItem], fh: TextIOBase) -> None:
-    """Append one JSON record per entry, sixteen per ``QuietTick``."""
-    _write_items(trace, fh, _structured_line, _structured_template)
+def write_trace_structured(trace: list[TraceItem], fh: TextIOBase, templates: dict) -> None:
+    """Append one JSON record per entry, sixteen per ``QuietTick``.
+    *templates* is as for ``write_trace_text``, for one structured trace."""
+    _write_items(trace, fh, templates, _structured_line, str.rpartition)

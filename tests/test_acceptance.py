@@ -350,7 +350,7 @@ def load_emitted(tmp_path):
     metrics_path = tmp_path / "metrics.csv"
     with trace_path.open("w", encoding="utf-8") as fh:
         write_trace_meta(society.meta(config.ticks), fh)
-        write_trace_structured(result.trace, fh)
+        write_trace_structured(result.trace, fh, {})
     with metrics_path.open("w", encoding="utf-8", newline="") as fh:
         write_metrics([METRICS_COLUMNS, *result.metrics], fh)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import os
 import shutil
@@ -12,17 +14,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nea.cli
 import nea.cycle
 import nea.society
 from nea import builtin_scenario
 from nea.cli import main
-from nea.core import StepLabel
-from nea.cycle import InterpreterFault
-from nea.society import METRICS_COLUMNS, PARAMS
+from nea.core import DECAY_STEP, StepLabel
+from nea.cycle import AST_ORDER, EDGES, InterpreterFault
+from nea.society import METRICS_COLUMNS, PARAMS, ScenarioConfig, Society
 
 from conftest import CORPUS_DIR
+from test_cycle import SOCIETY_TICKS, crowd_config, draw_society
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +232,84 @@ def test_each_parameter_has_one_pinned_flag(capsys):
     assert sorted(set(flags) - {"--ticks", "--seed", "--out", "--trace-format"}) == sorted(
         "--" + name.replace("_", "-") for name in PARAMS
     )
+
+
+# ----------------------------------------------------------------------
+# the three outputs of one run agree
+
+
+def write_both_formats(society: Society, ticks: int, mail=None) -> tuple[str, str, str]:
+    """Run *society* for *ticks*, delivering *mail* (tick -> [(recipient,
+    message)]) before each tick, and write every tick through the CLI's
+    writers in both trace formats at once; returns the texts of
+    ``trace.txt``, ``trace.jsonl`` and ``metrics.csv``."""
+    text, structured, metrics = io.StringIO(), io.StringIO(), io.StringIO(newline="")
+    text_templates: dict = {}
+    structured_templates: dict = {}
+    nea.cli.write_trace_meta(society.meta(ticks), structured)
+    nea.cli.write_metrics([METRICS_COLUMNS], metrics)
+    for t in range(ticks):
+        for aid, message in (mail or {}).get(t, ()):
+            society._deliver_copy(message, aid)
+        items, rows = society.run_tick(t)
+        nea.cli.write_trace_text(items, text, text_templates)
+        nea.cli.write_trace_structured(items, structured, structured_templates)
+        nea.cli.write_metrics(rows, metrics)
+    return text.getvalue(), structured.getvalue(), metrics.getvalue()
+
+
+def assert_outputs_agree(text: str, structured: str, metrics: str) -> int:
+    """Assert that one run's outputs agree, and return its agent-tick count:
+
+    * ``trace.txt`` is ``trace.jsonl`` without the payloads, line for line;
+    * the metrics rows follow ``meta.agents`` on every tick;
+    * each agent-tick's records are one walk along ``EDGES`` from Perceive
+      to AffModB, the affective pass and the decay entry;
+    * a metrics row's ``pleasure`` and ``arousal`` are its decay payload's
+      ``sigma`` to six places, and its ``relevance`` is the payload's
+      ``relevance`` of its ``norm_id``.
+    """
+    meta, *records = (json.loads(line) for line in structured.split("\n")[:-1])
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    for line, r in zip(lines, records, strict=True):
+        assert line == f"{r['tick']}\t{r['agent']}\t{r['step']}\t{r['summary']}"
+    rows = list(csv.DictReader(io.StringIO(metrics, newline="")))
+    order = [(int(row["tick"]), row["agent"]) for row in rows]
+    assert order == [(t, aid) for t in range(meta["meta"]["ticks"]) for aid in meta["meta"]["agents"]]
+    groups = [(key, list(group)) for key, group in itertools.groupby(records, lambda r: (r["tick"], r["agent"]))]
+    assert [key for key, _ in groups] == order
+    for row, (_, group) in zip(rows, groups):
+        steps = [r["step"] for r in group]
+        walk = steps[: steps.index(StepLabel.AffModB.value) + 1]
+        assert walk[0] == StepLabel.Perceive.value
+        assert all(StepLabel(b) in EDGES[StepLabel(a)] for a, b in zip(walk, walk[1:]))
+        assert steps[len(walk) :] == [*(label.value for label in AST_ORDER), DECAY_STEP]
+        decay = group[-1]["payload"]
+        assert (row["pleasure"], row["arousal"]) == tuple(f"{v:.6f}" for v in decay["sigma"])
+        if row["norm_id"]:
+            assert row["relevance"] == f"{decay['relevance'][row['norm_id']]:.6f}"
+        else:
+            assert row["relevance"] == "" and decay["relevance"] == {}
+    return len(rows)
+
+
+@pytest.mark.parametrize(
+    "config, ticks",
+    [(lambda: ScenarioConfig.load(builtin_scenario("mask")), 300), (crowd_config, 120)],
+    ids=["mask", "crowd"],
+)
+def test_outputs_agree(config, ticks):
+    society = Society(config(), seed=7)
+    assert assert_outputs_agree(*write_both_formats(society, ticks)) == ticks * len(society.roster)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_random_society_outputs_agree(data):
+    society, mail = draw_society(data)
+    agent_ticks = SOCIETY_TICKS * len(society.roster)
+    assert assert_outputs_agree(*write_both_formats(society, SOCIETY_TICKS, mail)) == agent_ticks
 
 
 @pytest.mark.parametrize("trace_format", ["text", "structured"])

@@ -416,24 +416,25 @@ def test_malformed_norm_message_faults(content):
 
 def test_agents_adopting_one_norm_share_its_plan():
     first, second = build_agent(PATROL_SOURCE, "a1"), build_agent(PATROL_SOURCE, "a2")
+    env = make_env()  # one run's view
     for agent in (first, second):
-        process_message(agent, msg(MASK_NORM_MSG, sender="rectorate"), make_env())
+        process_message(agent, msg(MASK_NORM_MSG, sender="rectorate"), env)
     assert first.NB[0].id == second.NB[0].id
     assert first.NB[0].plan is second.NB[0].plan  # one parse of the plan text
     bad = 'norm(obligation, "np__ +x <- ", 0, 1, "ALL", [0.1,0.1])'  # the plan does not parse
     for agent in (first, second):
         with pytest.raises(InterpreterFault, match="embedded normative plan does not parse"):
-            process_message(agent, msg(bad), make_env())
+            process_message(agent, msg(bad), env)
 
 
 def test_agents_adopting_one_norm_render_it_once(monkeypatch):
     renders = []
     render_norm = nea.core.render_norm
     monkeypatch.setattr(nea.core, "render_norm", lambda decl: renders.append(decl) or render_norm(decl))
-    nea.cycle._declared_norm.cache_clear()
     first, second = build_agent(PATROL_SOURCE, "a1"), build_agent(PATROL_SOURCE, "a2")
+    env = make_env()  # one run's view
     for agent in (first, second):
-        process_message(agent, msg(MASK_NORM_MSG, sender="rectorate"), make_env())
+        process_message(agent, msg(MASK_NORM_MSG, sender="rectorate"), env)
     assert len(renders) == 1  # one validation and one id for both agents
     assert first.NB[0].id == second.NB[0].id == norm_id(parse_norm(MASK_NORM_MSG))
     assert first.NB[0] is not second.NB[0]
@@ -444,9 +445,10 @@ def test_agents_adopting_one_norm_render_it_once(monkeypatch):
 def test_equal_norm_literals_that_render_apart_keep_their_ids():
     texts = [MASK_NORM_MSG.replace("[0.3,0.1]", pa) for pa in ("[0.0,0.1]", "[-0.0,0.1]")]
     assert parse_literal_text(texts[0]) == parse_literal_text(texts[1])
+    env = make_env()  # one run's view, whose norm table is keyed by text
     for i, text in enumerate(texts):
         agent = build_agent(PATROL_SOURCE, f"a{i}")
-        process_message(agent, msg(text), make_env())
+        process_message(agent, msg(text), env)
         assert agent.NB[0].id == norm_id(parse_norm(text))
     assert norm_id(parse_norm(texts[0])) != norm_id(parse_norm(texts[1]))
 
@@ -1034,15 +1036,12 @@ def addressed(program: AgentProgram, ids: list[str]) -> AgentProgram:
     )
 
 
-@settings(deadline=None)
-@given(data=st.data())
-def test_random_societies_equal_the_full_passes(data):
-    """Two to four agents from random programs, ``norms__`` blocks included,
-    perceive the literals their plans trigger on and the norms any of them
-    declares, and get random social feedback.  Every agent-tick equals the
-    full passes, nothing faults, and ``C.I`` stays within its bound: each
-    tick adds at most one intention for an event, and Cope never posts an
-    action whose intention is pending, so at most one per coping action."""
+def draw_society(data) -> tuple[Society, defaultdict]:
+    """A society of two to four agents from random programs, ``norms__``
+    blocks included, that perceive the literals their plans trigger on and
+    the norms any of them declares, run for ``SOCIETY_TICKS``; and its
+    random social feedback, as tick -> [(recipient, message)] to deliver
+    before that tick runs."""
     ids = [f"a{i}" for i in range(data.draw(st.integers(2, 4), label="agents"))]
     programs = [addressed(data.draw(_programs(), label=aid), ids) for aid in ids]
     plans = [p for prog in programs for p in (*prog.plans, *(d.plan for d in prog.norms))]
@@ -1075,11 +1074,21 @@ def test_random_societies_equal_the_full_passes(data):
             "observation": {"authority": ids[0], "reactions": {"comply": [0.6, 0.2], "break": [-0.6, -0.2]}},
         }
     )
-    society = Society(config, seed=1)
-    coping = [sum(len(c.actions) for c in agent.P.coping) for agent in society.roster.values()]
     mail = defaultdict(list)
     for t, aid, condition, pair in feedback:
         mail[t].append((aid, msg(render_feedback(condition, pair))))
+    return Society(config, seed=1), mail
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_random_societies_equal_the_full_passes(data):
+    """Every agent-tick of a random society (``draw_society``) equals the
+    full passes, nothing faults, and ``C.I`` stays within its bound: each
+    tick adds at most one intention for an event, and Cope never posts an
+    action whose intention is pending, so at most one per coping action."""
+    society, mail = draw_society(data)
+    coping = [sum(len(c.actions) for c in agent.P.coping) for agent in society.roster.values()]
     with pytest.MonkeyPatch.context() as mp:
         quiet = check_against_full_passes(mp)
         for t in range(SOCIETY_TICKS):
@@ -1088,7 +1097,7 @@ def test_random_societies_equal_the_full_passes(data):
             society.run_tick(t)
             for agent, actions in zip(society.roster.values(), coping):
                 assert len(agent.C.I) <= t + 1 + actions
-    assert quiet["ticks"] == SOCIETY_TICKS * len(ids)
+    assert quiet["ticks"] == SOCIETY_TICKS * len(society.roster)
 
 
 MASKED_CAMPUS = frozenset({("wearing_mask", True), ("in_campus", True)})

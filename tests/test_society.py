@@ -505,10 +505,22 @@ def test_agents_from_one_program_share_its_plans_and_own_their_state():
     assert b.ps[0] is not b.ps[1] and not b.holds(Literal("visitor_on_site"))
 
 
+def test_each_society_parses_each_program_text_once(monkeypatch):
+    parses = []
+    parse = nea.society.parse_agent_program
+    monkeypatch.setattr(nea.society, "parse_agent_program", lambda text: parses.append(text) or parse(text))
+    texts = [PATROL_SOURCE, "standby.\n", PATROL_SOURCE, PATROL_SOURCE, "standby.\n"]
+    config = ScenarioConfig.from_dict(raw(agents=[{"id": f"a{i}", "program": text} for i, text in enumerate(texts)]))
+    Society(config)
+    assert parses == [PATROL_SOURCE, "standby.\n"]
+    Society(config)  # a second society in the same process parses for itself
+    assert parses == [PATROL_SOURCE, "standby.\n"] * 2
+
+
 def test_a_shared_malformed_program_names_its_first_agent_on_every_build():
     agents = [{"id": "ok", "program": "standby."}] + [{"id": f"bad{i}", "program": "+x <- "} for i in range(3)]
     config = ScenarioConfig.from_dict(raw(agents=agents))
-    for _ in range(2):  # a text that fails to parse is not cached
+    for _ in range(2):  # each build parses its program texts itself
         with pytest.raises(ScenarioError, match=r"^agent 'bad0': 1:"):
             Society(config)
 
@@ -856,7 +868,7 @@ def test_structured_trace_carries_meta_header(tmp_path):
     path = tmp_path / "trace.jsonl"
     with path.open("w", encoding="utf-8") as fh:
         write_trace_meta(society.meta(2), fh)
-        write_trace_structured(result.trace, fh)
+        write_trace_structured(result.trace, fh, {})
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
     assert header["meta"]["scenario"] == "mask"
@@ -867,7 +879,7 @@ def test_structured_trace_carries_meta_header(tmp_path):
 
 def rendered(write, items) -> str:
     out = io.StringIO()
-    write(items, out)
+    write(items, out, {})
     return out.getvalue()
 
 
@@ -889,6 +901,27 @@ def test_quiet_tick_renders_as_its_entries(agent_id):
             assert rendered(write, [busy, *items, busy]) == rendered(write, [busy, *items[0].entries(), busy])
 
 
+def quiet_ticks(n: int, t: int) -> list[QuietTick]:
+    """One ``QuietTick`` at tick *t* for each of *n* agents."""
+    upas, decay = "0 applied, sigma [0.000,0.000]", "sigma [0.000,0.000]"
+    return [QuietTick(t, f"a{i}", upas, TraceEntry(t, f"a{i}", "AsNrDecay", decay)) for i in range(n)]
+
+
+@pytest.mark.parametrize("write", [write_trace_text, write_trace_structured], ids=["text", "structured"])
+def test_a_trace_builds_each_quiet_template_once(monkeypatch, write):
+    """A roster larger than any fixed cache bound, written twice through one
+    ``templates`` dict, builds one template per agent."""
+    built = []
+    template = nea.society._quiet_template
+    monkeypatch.setattr(nea.society, "_quiet_template", lambda agent, *a: built.append(agent) or template(agent, *a))
+    templates: dict = {}
+    for t in (7, 8):
+        out = io.StringIO()
+        write(quiet_ticks(5000, t), out, templates)
+    assert len(built) == len(set(built)) == 5000
+    assert out.getvalue() == rendered(write, expand(quiet_ticks(5000, 8)))
+
+
 #: the ``_json`` accelerator's ``c_make_encoder``, and None as where it is missing
 ENCODER_PATHS = (json.encoder.c_make_encoder, None)
 
@@ -902,7 +935,7 @@ def use_payload_encoder(monkeypatch, make) -> None:
 
 def structured_lines(entries) -> str:
     out = io.StringIO()
-    write_trace_structured(entries, out)
+    write_trace_structured(entries, out, {})
     return out.getvalue()
 
 
