@@ -192,6 +192,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     metrics_path = out / "metrics.csv"
     structured = args.trace_format == "structured"
+    society.env.payloads = structured  # only trace.jsonl writes them
     trace_path = out / ("trace.jsonl" if structured else "trace.txt")
     write_trace = write_trace_structured if structured else write_trace_text
     templates: dict = {}  # the quiet-tick templates of this run's trace

@@ -20,7 +20,6 @@ live in norms/affect/cycle.
 
 from __future__ import annotations
 
-import hashlib
 from enum import Enum
 
 from .lang import (
@@ -35,6 +34,11 @@ from .lang import (
     render_trigger,
 )
 from .record import Record
+
+try:  # the built-in module: hashlib would load OpenSSL's _hashlib at start-up
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 
 class StepLabel(Enum):
@@ -102,7 +106,7 @@ class NormativeBelief(Record):
 def norm_id(decl: NormDecl) -> str:
     """Stable id for a norm: hash of its canonical rendering."""
     text = render_norm(decl)
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
+    return sha1(text.encode("utf-8")).hexdigest()[:12]
 
 
 class IntendedMeans(Record):

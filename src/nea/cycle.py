@@ -15,7 +15,9 @@ The affective pass (``run_affective_cycle``) appraises fresh memory, folds
 unapplied responses into the affective state, revises plans punished by
 social feedback, and queues coping actions.  ``run_decay`` then pulls the
 affective state toward neutral and erodes the relevance of unreinforced
-norms.  ``tick`` strings the three passes together.
+norms.  ``tick`` strings the three passes together.  The payload of a
+step's ``TraceEntry`` appears only in ``trace.jsonl``, and is built only
+while ``EnvironmentView.payloads`` is on: a text run builds none.
 
 A feedback record is *settled* once ``detect_social_norm`` flagged no plan
 for it that revision would change, and nothing that call read has changed
@@ -179,13 +181,15 @@ class EnvironmentView(Record):
     whole society counts as affected.  ``norms`` maps each norm text the
     run's agents perceived or were told to its ``(NormDecl, id)``, built
     once for every agent adopting that norm (see ``_adopt_literal``).
+    ``payloads``: whether trace entries carry payloads; ``nea run`` turns
+    it off for a text trace, which prints none, and a sinkless run keeps it.
     """
 
     _fields = (
         "tick", "n_agents", "percepts", "fraction", "relevance_threshold", "relevance_weight",
         "delta", "decay_affect", "decay_relevance", "deviation_threshold",
     )
-    __slots__ = _fields + ("norms",)
+    __slots__ = _fields + ("norms", "payloads")
 
     def __init__(
         self, tick: int = 0, n_agents: int = 1, percepts: set | None = None, fraction=_whole_society,
@@ -199,10 +203,12 @@ class EnvironmentView(Record):
         self.decay_affect, self.decay_relevance = decay_affect, decay_relevance
         self.deviation_threshold = deviation_threshold
         self.norms: dict[str, tuple[NormDecl, str]] = {}
+        self.payloads = True
 
 
 class TraceEntry(Record):
-    """One executed step, for the run trace."""
+    """One executed step, for the run trace; its *payload*, written only to
+    ``trace.jsonl``, is empty while ``EnvironmentView.payloads`` is off."""
 
     __slots__ = _fields = ("tick", "agent", "step", "summary", "payload")
 
@@ -210,12 +216,9 @@ class TraceEntry(Record):
         self.tick, self.agent, self.step, self.summary = tick, agent, step, summary
         self.payload = {} if payload is None else payload
 
-    def text(self) -> str:
-        return f"{self.tick}\t{self.agent}\t{self.step}\t{self.summary}"
 
-
-def _entry(agent: AgentConfig, env: EnvironmentView, step_name: str, summary: str, **payload) -> TraceEntry:
-    return TraceEntry(env.tick, agent.id, step_name, summary, payload)  # positional: cheaper per entry
+def _entry(agent: AgentConfig, env: EnvironmentView, name: str, summary: str, payload: dict | None = None) -> TraceEntry:
+    return TraceEntry(env.tick, agent.id, name, summary, payload if env.payloads else None)
 
 
 # ----------------------------------------------------------------------
@@ -283,15 +286,10 @@ def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     summary = f"+{len(new_p)}/-{len(rem_p)} percepts"
     if adopted:
         summary += f", adopted {','.join(adopted)}"
-    return _entry(
-        agent,
-        env,
-        "Perceive",
-        summary,
-        new=sorted(render_literal(l) for l in new_p),
-        removed=sorted(render_literal(l) for l in rem_p),
-        adopted=adopted,
-    )
+    if not env.payloads:
+        return _entry(agent, env, "Perceive", summary)
+    new, removed = sorted(map(render_literal, new_p)), sorted(map(render_literal, rem_p))
+    return _entry(agent, env, "Perceive", summary, {"new": new, "removed": removed, "adopted": adopted})
 
 
 def process_message(
@@ -390,7 +388,7 @@ def _step_procmsg(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     summary, nxt, payload = process_message(agent, message, env)
     agent.s = nxt
     payload["mid"] = message.mid
-    return _entry(agent, env, "ProcMsg", summary, **payload)
+    return _entry(agent, env, "ProcMsg", summary, payload)
 
 
 def _step_selev(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -463,7 +461,7 @@ def _step_selappl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     summary = render_trigger(rho.trigger)
     if rho.norm_id and rho.norm_id in decisions:
         summary += f" [{decisions[rho.norm_id]['chosen']}]"
-    return _entry(agent, env, "SelAppl", summary, decisions=decisions)
+    return _entry(agent, env, "SelAppl", summary, {"decisions": decisions})
 
 
 def _step_addim(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -584,7 +582,7 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     _rotate(agent, intent)
 
     agent.s = StepLabel.AffModB if appraised else StepLabel.ClrInt
-    return _entry(agent, env, "ExecInt", summary, **payload)
+    return _entry(agent, env, "ExecInt", summary, payload)
 
 
 def _step_clrint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -605,7 +603,7 @@ def _step_affmodb(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     summary = f"+{len(changes['added'])}/-{len(changes['removed'])} beliefs"
     if changes["appraised"]:
         summary += f", {len(changes['appraised'])} appraisals"
-    return _entry(agent, env, "AffModB", summary, **changes)
+    return _entry(agent, env, "AffModB", summary, changes)
 
 
 #: label -> (step function, allowed successors), one lookup per step.  The
@@ -744,7 +742,7 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
     summary = f"{len(agent.Ta.Cs)} coping"
     if revised:
         summary += f", revised {len(revised)} plan(s)"
-    entries.append(_entry(agent, env, "SelCs", summary, revised=revised))
+    entries.append(_entry(agent, env, "SelCs", summary, {"revised": revised}))
 
     # Cope: queue one intention per selected coping action.
     agent.ast = AffectiveStepLabel.Cope
@@ -764,16 +762,13 @@ def run_decay(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     agent.Ta.sigma = affect_decay(agent.Ta.sigma, env.decay_affect)
     relevance_decay(agent.NB, agent.Mem, env.decay_relevance, tick=env.tick)
     sig = agent.Ta.sigma
-    return _entry(
-        agent,
-        env,
-        DECAY_STEP,
-        f"sigma [{sig[0]:.3f},{sig[1]:.3f}]",
-        sigma=[sig[0], sig[1]],
-        relevance={nb.id: nb.relevance for nb in agent.NB},
-        beliefs=list(agent.belief_texts()),
-        feedback={rec.text: list(rec.accumulated) for rec in agent.feedback.values()},
-    )
+    payload = {
+        "sigma": [sig[0], sig[1]],
+        "relevance": {nb.id: nb.relevance for nb in agent.NB},
+        "beliefs": list(agent.belief_texts()),
+        "feedback": {rec.text: list(rec.accumulated) for rec in agent.feedback.values()},
+    } if env.payloads else None
+    return _entry(agent, env, DECAY_STEP, f"sigma [{sig[0]:.3f},{sig[1]:.3f}]", payload)
 
 
 # ----------------------------------------------------------------------
@@ -869,22 +864,21 @@ def _fault(agent: AgentConfig, at: StepLabel | str, reason: str) -> InterpreterF
 def check_invariants(agent: AgentConfig, at: StepLabel | str) -> None:
     """Raise an ``InterpreterFault`` naming step *at* if any invariant fails.
 
-    Every check runs on every call; what a check needs is built only when
-    it can fail (a plan carries a norm id, two or more messages wait).
+    Every check runs on every call, in this order; the known norm ids are
+    gathered by the relevance loop, and the mid list is built only when
+    two or more messages wait.
     """
     sig = agent.Ta.sigma
     if not (-1.0 <= sig[0] <= 1.0 and -1.0 <= sig[1] <= 1.0):
         raise _fault(agent, at, f"affective state out of range: {sig}")
+    known = {None}  # the norm ids a plan may carry: none, or a held norm's
     for nb in agent.NB:
         if nb.relevance < 0:
             raise _fault(agent, at, f"negative relevance on {nb.id}")
-    known = None
+        known.add(nb.id)
     for plan in agent.ps:
-        if plan.norm_id is not None:
-            if known is None:
-                known = {nb.id for nb in agent.NB}
-            if plan.norm_id not in known:
-                raise _fault(agent, at, f"plan references unknown norm {plan.norm_id}")
+        if plan.norm_id not in known:
+            raise _fault(agent, at, f"plan references unknown norm {plan.norm_id}")
     for intent in agent.C.I:
         if not intent.stack:
             raise _fault(agent, at, f"empty intention {intent.iid} in C.I")

@@ -695,14 +695,14 @@ def _write_items(
 
 
 def _text_line(e: TraceEntry) -> str:
-    return e.text() + "\n"
+    return f"{e.tick}\t{e.agent}\t{e.step}\t{e.summary}\n"
 
 
 def write_trace_text(trace: list[TraceItem], fh: TextIOBase, templates: dict) -> None:
-    """Append one ``TraceEntry.text()`` line per entry, sixteen per
-    ``QuietTick``.  *templates* holds the quiet-tick templates of one
-    run's text trace: pass the same dict, empty at first, on every call
-    for that trace, and no other writer's."""
+    """Append one ``_text_line`` (the entry's fields but its payload,
+    tab-separated) per entry, sixteen per ``QuietTick``.  *templates* holds
+    the quiet-tick templates of one run's text trace: pass the same dict,
+    empty at first, on every call for that trace, and no other writer's."""
     _write_items(trace, fh, templates, _text_line, str.partition)
 
 

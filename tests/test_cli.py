@@ -14,7 +14,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import nea.cli
@@ -23,7 +23,7 @@ import nea.society
 from nea import builtin_scenario
 from nea.cli import main
 from nea.core import DECAY_STEP, StepLabel
-from nea.cycle import AST_ORDER, EDGES, InterpreterFault
+from nea.cycle import AST_ORDER, EDGES, InterpreterFault, QuietTick, expand
 from nea.society import METRICS_COLUMNS, PARAMS, ScenarioConfig, Society
 
 from conftest import CORPUS_DIR
@@ -163,6 +163,47 @@ def test_run_mask_oracle_digests(tmp_path, trace_format):
     assert _digests(out) == ORACLE[trace_format]
 
 
+def written_items(monkeypatch, writer: str, argv: list[str]) -> list:
+    """The trace items ``nea.cli.<writer>`` receives while ``main(argv)`` runs."""
+    items, inner = [], getattr(nea.cli, writer)
+
+    def spy(trace, fh, templates):
+        items.extend(trace)
+        inner(trace, fh, templates)
+
+    monkeypatch.setattr(nea.cli, writer, spy)
+    assert main(argv) == 0
+    return items
+
+
+#: The payload keys of each step that has one, on a structured run.
+PAYLOAD_KEYS = {
+    "Perceive": {"new", "removed", "adopted"},
+    "AffModB": {"added", "removed", "appraised"},
+    "SelCs": {"revised"},
+    DECAY_STEP: {"sigma", "relevance", "beliefs", "feedback"},
+}
+
+
+def test_only_structured_runs_build_payloads(tmp_path, monkeypatch):
+    argv = ["run", "mask", "--ticks", "300", "--seed", "7", "--out"]
+    items = written_items(monkeypatch, "write_trace_text", [*argv, str(tmp_path / "text")])
+    assert any(type(item) is QuietTick for item in items)
+    entries = [item.decay if type(item) is QuietTick else item for item in items]
+    assert [e for e in entries if e.payload] == []
+
+    items = written_items(
+        monkeypatch, "write_trace_structured", [*argv, str(tmp_path / "jsonl"), "--trace-format", "structured"]
+    )
+    entries = expand(items)
+    for entry in entries:
+        keys = PAYLOAD_KEYS.get(entry.step, set(entry.payload))
+        assert set(entry.payload) == keys, entry
+    procmsg = [e.payload for e in entries if e.step == "ProcMsg" and e.summary != "idle"]
+    assert procmsg and all("mid" in payload for payload in procmsg)
+    assert any(e.payload.get("decisions") for e in entries if e.step == "SelAppl")
+
+
 # each run parameter: its flag, the same value as the scenario's params write
 # it, and the sha256s of `run mask --ticks 300 --seed 7` with that value
 PARAMETER_PINS = {
@@ -238,20 +279,33 @@ def test_each_parameter_has_one_pinned_flag(capsys):
 # the three outputs of one run agree
 
 
-def write_both_formats(society: Society, ticks: int, mail=None) -> tuple[str, str, str]:
+def run_ticks(society: Society, ticks: int, mail=None):
     """Run *society* for *ticks*, delivering *mail* (tick -> [(recipient,
-    message)]) before each tick, and write every tick through the CLI's
-    writers in both trace formats at once; returns the texts of
-    ``trace.txt``, ``trace.jsonl`` and ``metrics.csv``."""
+    message)]) before each tick; yields each tick's items and rows."""
+    for t in range(ticks):
+        for aid, message in (mail or {}).get(t, ()):
+            society._deliver_copy(message, aid)
+        yield society.run_tick(t)
+
+
+def write_text(society: Society, ticks: int, mail=None) -> str:
+    """``trace.txt`` of ``run_ticks``, written through the CLI's writer."""
+    text, templates = io.StringIO(), {}
+    for items, _ in run_ticks(society, ticks, mail):
+        nea.cli.write_trace_text(items, text, templates)
+    return text.getvalue()
+
+
+def write_both_formats(society: Society, ticks: int, mail=None) -> tuple[str, str, str]:
+    """``run_ticks``, every tick written through the CLI's writers in both
+    trace formats at once; returns the texts of ``trace.txt``,
+    ``trace.jsonl`` and ``metrics.csv``."""
     text, structured, metrics = io.StringIO(), io.StringIO(), io.StringIO(newline="")
     text_templates: dict = {}
     structured_templates: dict = {}
     nea.cli.write_trace_meta(society.meta(ticks), structured)
     nea.cli.write_metrics([METRICS_COLUMNS], metrics)
-    for t in range(ticks):
-        for aid, message in (mail or {}).get(t, ()):
-            society._deliver_copy(message, aid)
-        items, rows = society.run_tick(t)
+    for items, rows in run_ticks(society, ticks, mail):
         nea.cli.write_trace_text(items, text, text_templates)
         nea.cli.write_trace_structured(items, structured, structured_templates)
         nea.cli.write_metrics(rows, metrics)
@@ -304,12 +358,18 @@ def test_outputs_agree(config, ticks):
     assert assert_outputs_agree(*write_both_formats(society, ticks)) == ticks * len(society.roster)
 
 
-@settings(max_examples=15, deadline=None)
+# no shrink phase: shrinking a failing society took five minutes to report it
+@settings(max_examples=15, deadline=None, phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(data=st.data())
 def test_random_society_outputs_agree(data):
+    """The outputs of a random society agree, and its text trace is the
+    same bytes when the run builds no payloads, as a text run does."""
     society, mail = draw_society(data)
-    agent_ticks = SOCIETY_TICKS * len(society.roster)
-    assert assert_outputs_agree(*write_both_formats(society, SOCIETY_TICKS, mail)) == agent_ticks
+    again = Society(society.config, seed=society.seed)
+    again.env.payloads = False
+    text, structured, metrics = write_both_formats(society, SOCIETY_TICKS, mail)
+    assert assert_outputs_agree(text, structured, metrics) == SOCIETY_TICKS * len(society.roster)
+    assert write_text(again, SOCIETY_TICKS, mail) == text
 
 
 @pytest.mark.parametrize("trace_format", ["text", "structured"])

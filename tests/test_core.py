@@ -3,9 +3,14 @@ identities, and snapshot serialization."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import nea
 from nea.core import (
     IntendedMeans,
     MemKind,
@@ -20,7 +25,7 @@ from nea.core import (
     snapshot,
 )
 from nea.cycle import agent_from_program
-from nea.lang import Literal, TriggerType, parse_agent_program, render_literal
+from nea.lang import Literal, TriggerType, parse_agent_program, render_literal, render_norm
 
 from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent, parse_norm
 
@@ -127,6 +132,19 @@ def test_norm_id_is_stable_and_content_keyed():
     assert nb.id == norm_id(decl)
     assert nb.deontic == "obligation"
     assert nb.relevance == 50.0
+
+
+def test_norm_id_is_hashlib_sha1_without_loading_hashlib(corpus):
+    decls = [decl for path in corpus for decl in parse_agent_program(path.read_text(encoding="utf-8")).norms]
+    assert len(decls) >= 5
+    for decl in decls:
+        assert norm_id(decl) == hashlib.sha1(render_norm(decl).encode()).hexdigest()[:12]
+
+    # the built-in sha1 spares every run OpenSSL's _hashlib at start-up
+    src = str(Path(nea.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import nea.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_intentions_get_unique_ids():

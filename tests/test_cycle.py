@@ -67,7 +67,7 @@ from nea.lang import (
     render_trigger,
 )
 from nea.norms import BREAK, COMPLY
-from nea.society import PerceptPulse, ScenarioConfig, Society
+from nea.society import PerceptPulse, ScenarioConfig, Society, _text_line
 
 from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent, parse_norm
 from test_lang_roundtrip import _programs
@@ -254,6 +254,40 @@ def test_each_invariant_names_the_step(breach, reason, at):
     assert caught.value.step == "SelEv"
     assert caught.value.agent_id == agent.id
     assert str(caught.value).startswith(f"[{agent.id} @ SelEv] ")
+
+
+def _plan_naming_the_second_norm(agent, second):
+    p = agent.ps[0]
+    agent.ps.append(PlanDef(p.trigger, p.context, p.body, p.label, p.normative, norm_id=second, variant=p.variant))
+
+
+def _negative_second_norm_and_unknown_plan(agent, second):
+    agent.NB[1].relevance = -0.1
+    _unknown_norm_plan(agent, None)
+
+
+@pytest.mark.parametrize(
+    "breach, reason",
+    [(_plan_naming_the_second_norm, None), (_negative_second_norm_and_unknown_plan, "negative relevance on {}")],
+    ids=["second-norm-plan", "relevance-before-plans"],
+)
+def test_invariants_over_two_norms(breach, reason):
+    """Every held norm's id is known to the plan check, and the relevance
+    check still faults before it."""
+    agent = build_agent(PATROL_SOURCE)
+    adopt_mask_norm(agent, make_env(n_agents=3))
+    decl = parse_norm(MASK_NORM_TEXT)
+    second = _adopt_norm(agent, decl, norm_id(decl))
+    assert [nb.id for nb in agent.NB][1] == second
+    check_invariants(agent, "SelEv")
+
+    breach(agent, second)
+    if reason is None:
+        check_invariants(agent, "SelEv")
+        return
+    with pytest.raises(InterpreterFault, match=reason.format(second)) as caught:
+        check_invariants(agent, "SelEv")
+    assert caught.value.step == "SelEv"
 
 
 # ----------------------------------------------------------------------
@@ -772,7 +806,7 @@ def test_decay_skips_norms_reinforced_this_tick():
 
 
 def _lines(items) -> list[str]:
-    return [e.text() + "|" + json.dumps(e.payload, sort_keys=True) for e in expand(items)]
+    return [_text_line(e) + "|" + json.dumps(e.payload, sort_keys=True) for e in expand(items)]
 
 
 def _state(agent) -> tuple:

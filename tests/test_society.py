@@ -25,6 +25,7 @@ from nea.society import (
     ScenarioConfig,
     ScenarioError,
     Society,
+    _text_line,
     fraction_affected,
     society_mood,
     write_trace_meta,
@@ -839,7 +840,7 @@ def test_each_announcement_is_parsed_once(monkeypatch):
 
 def run_lines(ticks: int = 40) -> list[str]:
     result = Society(mask_config()).run(ticks=ticks)
-    lines = [e.text() + "|" + json.dumps(e.payload, sort_keys=True) for e in result.trace]
+    lines = [_text_line(e) + "|" + json.dumps(e.payload, sort_keys=True) for e in result.trace]
     lines += [",".join(map(str, row)) for row in result.metrics]
     return lines
 
