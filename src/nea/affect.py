@@ -9,7 +9,6 @@ from .core import (
     AffectPair,
     AgentConfig,
     AppraisalVariables,
-    Event,
     FeedbackRecord,
     IntendedMeans,
     Intention,
@@ -106,9 +105,9 @@ def cope(strategies: list[CopingStrategy], agent: AgentConfig) -> list[Intention
 # belief synchronisation (AffModB)
 
 
-def belief_event(kind: TriggerKind, lit: Literal) -> Event:
+def belief_event(kind: TriggerKind, lit: Literal) -> TriggerEvent:
     """The event of the belief *lit* added (``TriggerKind.ADD``) or deleted."""
-    return Event(TriggerEvent(kind, TriggerType.BELIEF, lit))
+    return TriggerEvent(kind, TriggerType.BELIEF, lit)
 
 
 def sync_beliefs(agent: AgentConfig, tick: int) -> dict:

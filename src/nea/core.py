@@ -27,7 +27,6 @@ from .lang import (
     NormDecl,
     PersonalityDecl,
     PlanDef,
-    TriggerEvent,
     render_literal,
     render_norm,
     render_plan,
@@ -126,37 +125,29 @@ class Intention(Record):
         return self.stack[-1] if self.stack else None
 
 
-class Event(Record):
-    __slots__ = _fields = ("trigger", "intention")
-
-    def __init__(self, trigger: TriggerEvent, intention: Intention | None = None) -> None:
-        self.trigger, self.intention = trigger, intention  # intention None: external (top)
-
-
 class Circumstance(Record):
     __slots__ = _fields = ("I", "E", "A")
 
     def __init__(self) -> None:
+        # E holds TriggerEvents: a body posts no subgoal, so every event is external
         self.I, self.E, self.A = [], [], []  # noqa: E741 - the canonical field name
 
 
-class Ilf(Enum):
-    Tell = "Tell"
-    Untell = "Untell"
-
-
 class Message(Record):
-    """*norm* is the norm-annotation (id of the referenced norm); *recipient*
-    is for routing only: "ALL", an agent id or the announcement channel
-    (``cycle.OBSERVER_CHANNEL``), never a role name (routing faults on one)."""
+    """A told *content*: every message is a Tell.  *norm* is the
+    norm-annotation (id of the referenced norm): outbound, only a compliance
+    or violation announcement carries one, and inbound only the authority's
+    reply to it.  *recipient* is for routing only: "ALL", an agent id or, on
+    an announcement, the announcement channel (``cycle.OBSERVER_CHANNEL``);
+    routing faults on anything else."""
 
-    __slots__ = _fields = ("mid", "sender", "ilf", "content", "norm", "appraisal", "recipient")
+    __slots__ = _fields = ("mid", "sender", "content", "norm", "appraisal", "recipient")
 
     def __init__(
-        self, mid: int, sender: str, ilf: Ilf, content: str, norm: str | None = None,
+        self, mid: int, sender: str, content: str, norm: str | None = None,
         appraisal: AffectPair | None = None, recipient: str = "",
     ) -> None:
-        self.mid, self.sender, self.ilf, self.content = mid, sender, ilf, content
+        self.mid, self.sender, self.content = mid, sender, content
         self.norm, self.appraisal, self.recipient = norm, appraisal, recipient
 
 
@@ -235,17 +226,17 @@ class MemKind(Enum):
 
 class MemoryEvent(Record):
     """*divisor*: society-sourced pairs divide by the agent count; *applied*:
-    the pair has reached sigma; *appraised*: the appraisal step has seen
-    the entry."""
+    the pair has reached sigma.  The appraisal step has seen an entry when
+    its index lies below ``AgentConfig.mem_cursor``."""
 
-    __slots__ = _fields = ("tick", "kind", "pair", "norm_id", "source", "divisor", "applied", "appraised")
+    __slots__ = _fields = ("tick", "kind", "pair", "norm_id", "source", "divisor", "applied")
 
     def __init__(
         self, tick: int, kind: MemKind, pair: AffectPair, norm_id: str | None = None, source: str = SOURCE_SELF,
-        divisor: int = 1, applied: bool = False, appraised: bool = False,
+        divisor: int = 1, applied: bool = False,
     ) -> None:
         self.tick, self.kind, self.pair, self.norm_id, self.source = tick, kind, pair, norm_id, source
-        self.divisor, self.applied, self.appraised = divisor, applied, appraised
+        self.divisor, self.applied = divisor, applied
 
 
 class FeedbackRecord(Record):
@@ -387,18 +378,10 @@ def _intention_json(i: Intention) -> dict:
     }
 
 
-def _event_json(e: Event) -> dict:
-    return {
-        "trigger": render_trigger(e.trigger),
-        "intention": None if e.intention is None else e.intention.iid,
-    }
-
-
 def _message_json(m: Message) -> dict:
     return {
         "mid": m.mid,
         "sender": m.sender,
-        "ilf": m.ilf.value,
         "content": m.content,
         "norm": m.norm,
         "appraisal": None if m.appraisal is None else list(m.appraisal),
@@ -439,7 +422,7 @@ def snapshot(agent: AgentConfig) -> dict:
         },
         "C": {
             "I": [_intention_json(i) for i in agent.C.I],
-            "E": [_event_json(e) for e in agent.C.E],
+            "E": [render_trigger(e) for e in agent.C.E],
             "A": [render_literal(a) for a in agent.C.A],
         },
         "M": {
@@ -450,7 +433,7 @@ def snapshot(agent: AgentConfig) -> dict:
             "R": [render_plan(p) for p in agent.T.R],
             "Ap": [render_plan(p) for p in agent.T.Ap],
             "ι": None if agent.T.iota is None else agent.T.iota.iid,
-            "ε": None if agent.T.epsilon is None else _event_json(agent.T.epsilon),
+            "ε": None if agent.T.epsilon is None else render_trigger(agent.T.epsilon),
             "ρ": None if agent.T.rho is None else render_plan(agent.T.rho),
         },
         "Mem": [_mem_json(ev) for ev in agent.Mem],

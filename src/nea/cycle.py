@@ -16,8 +16,10 @@ unapplied responses into the affective state, revises plans punished by
 social feedback, and queues coping actions.  ``run_decay`` then pulls the
 affective state toward neutral and erodes the relevance of unreinforced
 norms.  ``tick`` strings the three passes together.  The payload of a
-step's ``TraceEntry`` appears only in ``trace.jsonl``, and is built only
-while ``EnvironmentView.payloads`` is on: a text run builds none.
+step's ``TraceEntry`` appears only in ``trace.jsonl``.  While
+``EnvironmentView.payloads`` is off, as on a text run, Perceive skips its
+sorted literal lists and ``run_decay`` its payload, and ``_entry`` drops
+the small payloads the other steps build.
 
 A feedback record is *settled* once ``detect_social_norm`` flagged no plan
 for it that revision would change, and nothing that call read has changed
@@ -75,8 +77,6 @@ from .core import (
     AffectPair,
     AgentConfig,
     DECAY_STEP,
-    Event,
-    Ilf,
     IntendedMeans,
     Intention,
     MemKind,
@@ -127,8 +127,9 @@ from .norms import (
 from .record import Record
 
 #: Pseudo-recipient for compliance/violation announcements.  The society
-#: harness routes messages addressed here to watching agents instead of
-#: delivering them to a mailbox.
+#: harness knows an announcement by its norm annotation and hands it to the
+#: issuing authority instead of a mailbox; a program's mail to this name is
+#: mail to an unknown recipient.
 OBSERVER_CHANNEL = "__observers__"
 
 #: Allowed successor labels of the normative step machine.
@@ -268,7 +269,7 @@ def agent_from_program(agent_id: str, program: AgentProgram, *, roles: tuple[str
     for decl in program.norms:
         _adopt_norm(agent, decl, norm_id(decl))
     for goal in program.goals:
-        agent.C.E.append(Event(TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, goal)))
+        agent.C.E.append(TriggerEvent(TriggerKind.ADD, TriggerType.GOAL, goal))
     return agent
 
 
@@ -297,9 +298,8 @@ def process_message(
 ) -> tuple[str, StepLabel, dict]:
     """Apply one mailbox message; returns (summary, next step, payload).
 
-    Four cases:
+    Every message is a Tell.  Three cases:
 
-    * Untell — retract the sender's copy of the content belief;
     * Tell annotated with a norm id — a societal response to this agent's
       own compliance/violation: reinforce the norm, shift the affective
       state by appraisal/n, remember it, and jump to AffModB;
@@ -310,12 +310,6 @@ def process_message(
       content as a belief sourced from the sender.
     """
     content = message.content
-
-    if message.ilf is Ilf.Untell:
-        lit = _content_literal(agent, content)
-        if agent.remove_belief(lit, message.sender):
-            agent.C.E.append(belief_event(TriggerKind.DEL, lit))
-        return f"untell {content} from {message.sender}", StepLabel.SelEv, {}
 
     if message.norm is not None:
         nb = agent.find_norm(message.norm)
@@ -396,7 +390,7 @@ def _step_selev(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     if not agent.C.E:
         return _entry(agent, env, "SelEv", "idle")
     agent.T.epsilon = agent.C.E.pop(0)
-    return _entry(agent, env, "SelEv", render_trigger(agent.T.epsilon.trigger))
+    return _entry(agent, env, "SelEv", render_trigger(agent.T.epsilon))
 
 
 def _step_relpl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -404,7 +398,7 @@ def _step_relpl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     ev = agent.T.epsilon
     if ev is None:
         return _entry(agent, env, "RelPl", "idle")
-    agent.T.R = [p for p in agent.ps if p.trigger == ev.trigger]
+    agent.T.R = [p for p in agent.ps if p.trigger == ev]
     if not agent.T.R:
         return _entry(agent, env, "RelPl", "no relevant plans; event dropped")
     return _entry(agent, env, "RelPl", f"{len(agent.T.R)} relevant")
@@ -469,13 +463,9 @@ def _step_addim(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     rho, ev = agent.T.rho, agent.T.epsilon
     if rho is None or ev is None:
         return _entry(agent, env, "AddIM", "idle")
-    means = IntendedMeans(plan=rho, remaining=list(rho.body))
-    if ev.intention is None:
-        intent = agent.new_intention(means)
-        agent.C.I.append(intent)
-        return _entry(agent, env, "AddIM", f"new intention {intent.iid}")
-    ev.intention.stack.append(means)
-    return _entry(agent, env, "AddIM", f"pushed onto intention {ev.intention.iid}")
+    intent = agent.new_intention(IntendedMeans(plan=rho, remaining=list(rho.body)))
+    agent.C.I.append(intent)
+    return _entry(agent, env, "AddIM", f"new intention {intent.iid}")
 
 
 def _step_selint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -487,10 +477,8 @@ def _step_selint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
 
 
 def _finish_means(agent: AgentConfig, intent: Intention) -> None:
-    """Pop the finished plan and any finished callers; drop empty intentions."""
+    """Pop the finished plan; drop the intention once it is empty."""
     intent.stack.pop()
-    while intent.stack and not intent.top().remaining:
-        intent.stack.pop()
     if not intent.stack:
         if intent in agent.C.I:
             agent.C.I.remove(intent)
@@ -509,7 +497,6 @@ def _announce(agent: AgentConfig, nid: str, variant: str) -> None:
         Message(
             mid=-1,
             sender=agent.id,
-            ilf=Ilf.Tell,
             content=f'norm_result("{nid}","{variant}")',
             norm=nid,
             recipient=OBSERVER_CHANNEL,
@@ -543,7 +530,7 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         recipient = step_.recipient.name if isinstance(step_.recipient, Sym) else str(step_.recipient)
         content = render_literal(step_.content)
         agent.M.Out.append(
-            Message(mid=-1, sender=agent.id, ilf=Ilf.Tell, content=content, recipient=recipient)
+            Message(mid=-1, sender=agent.id, content=content, recipient=recipient)
         )
         summary = f".sendMsg({recipient}, {content})"
     elif step_.is_affect_update():
@@ -577,7 +564,7 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
             payload["norm"] = nb.id
             payload["variant"] = variant
 
-    if intent.stack and not means.remaining:
+    if not means.remaining:
         _finish_means(agent, intent)
     _rotate(agent, intent)
 
@@ -689,13 +676,12 @@ def _upas_summary(applied: int, sig: AffectPair) -> str:
 def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
     """Appr -> UpAs -> SelCs -> Cope over memory entries not yet appraised.
 
-    ``Mem`` is append-only and every entry of a batch is marked appraised,
-    so the batch is read from ``agent.mem_cursor`` on.
+    ``Mem`` is append-only and nothing appends to it during this pass, so
+    the entries not yet appraised are those from ``agent.mem_cursor`` on.
     """
     entries: list[TraceEntry] = []
-    start = agent.mem_cursor
+    batch = agent.Mem[agent.mem_cursor:]
     agent.mem_cursor = len(agent.Mem)
-    batch = [ev for ev in agent.Mem[start:] if not ev.appraised]
 
     # Appr: derive appraisal variables from fresh memory.
     agent.ast = AffectiveStepLabel.Appr
@@ -705,7 +691,6 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
         if av is not None:
             agent.Ta.Av = av
             appraised_n += 1
-        ev.appraised = True
     entries.append(_entry(agent, env, "Appr", f"{appraised_n}/{len(batch)} appraised"))
 
     # UpAs: fold responses not already applied into the affective state.

@@ -28,11 +28,7 @@ from collections.abc import Callable
 from io import TextIOBase  # not typing.TextIO: importing typing costs ~3 ms
 from pathlib import Path
 
-from .core import (
-    AgentConfig,
-    Ilf,
-    Message,
-)
+from .core import AgentConfig, Message
 from .cycle import (
     OBSERVER_CHANNEL,
     EnvironmentView,
@@ -460,7 +456,6 @@ class Society:
         copy = Message(
             mid=next(self._mids),
             sender=message.sender,
-            ilf=message.ilf,
             content=message.content,
             norm=message.norm,
             appraisal=message.appraisal,
@@ -469,9 +464,10 @@ class Society:
         self._pending[recipient].append(copy)
 
     def _route(self, outbound: list[Message]) -> None:
-        """Deliver mail; announcements are handled by ``_authority_react``."""
+        """Deliver mail; announcements, the outbound mail that carries a norm
+        annotation, are handled by ``_authority_react``."""
         for message in outbound:
-            if message.recipient == OBSERVER_CHANNEL:
+            if message.norm is not None:
                 continue
             if message.recipient == BROADCAST:
                 for aid in self.roster:
@@ -500,7 +496,6 @@ class Society:
             reply = Message(
                 mid=-1,
                 sender=policy.authority,
-                ilf=Ilf.Tell,
                 content=f'norm_feedback("{variant}")',
                 norm=message.norm,
                 appraisal=pair,
@@ -528,7 +523,7 @@ class Society:
         if not risen:
             return
         for observer in self._observers:
-            feedback = Message(mid=-1, sender=observer, ilf=Ilf.Tell, content=self._feedback)
+            feedback = Message(mid=-1, sender=observer, content=self._feedback)
             for target_id in risen:
                 if target_id != observer:
                     self._deliver_copy(feedback, target_id)
@@ -566,7 +561,7 @@ class Society:
                 entries, outbound = agent_tick(agent, env)
                 trace.extend(entries)
                 for message in outbound:
-                    if message.recipient == OBSERVER_CHANNEL:
+                    if message.norm is not None:  # only cycle._announce sets it
                         variant = announced[aid] = _announced_variant(message)
                         announcements.append((message, variant))
                 self._route(outbound)
@@ -630,10 +625,8 @@ class Society:
 
 
 def _announced_variant(message: Message) -> str:
-    lit = parse_literal_text(message.content)
-    if lit.functor != "norm_result" or len(lit.args) != 2:
-        return ""
-    return str(lit.args[1])
+    """The variant of an announcement ``norm_result("<id>","<variant>")``."""
+    return str(parse_literal_text(message.content).args[1])
 
 
 # ----------------------------------------------------------------------

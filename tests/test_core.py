@@ -44,9 +44,9 @@ def test_initial_configuration():
 
 def test_initial_goals_become_events():
     agent = build_agent("start.\n!warm_up.\n+!warm_up <- stretch.")
-    goal_events = [e for e in agent.C.E if e.trigger.type is TriggerType.GOAL]
+    goal_events = [e for e in agent.C.E if e.type is TriggerType.GOAL]
     assert len(goal_events) == 1
-    assert goal_events[0].trigger.literal == Literal("warm_up")
+    assert goal_events[0].literal == Literal("warm_up")
 
 
 def test_belief_base_is_source_keyed():

@@ -19,7 +19,6 @@ from nea import builtin_scenario
 from nea.affect import accumulate_feedback, queue_belief_add
 from nea.core import (
     AffectiveStepLabel,
-    Ilf,
     Intention,
     MemKind,
     MemoryEvent,
@@ -82,8 +81,8 @@ def make_env(**kw) -> EnvironmentView:
     return EnvironmentView(**kw)
 
 
-def msg(content, sender="peer", ilf=Ilf.Tell, norm=None, appraisal=None, mid=1):
-    return Message(mid=mid, sender=sender, ilf=ilf, content=content, norm=norm, appraisal=appraisal)
+def msg(content, sender="peer", norm=None, appraisal=None, mid=1):
+    return Message(mid=mid, sender=sender, content=content, norm=norm, appraisal=appraisal)
 
 
 def adopt_mask_norm(agent, env) -> str:
@@ -166,7 +165,7 @@ def fuzz_step_machine(total_steps: int, seed: int) -> int:
                         msg("(+wearing_mask;+in_campus),[-0.3,-0.1]", mid=1000 + taken)
                     )
                 elif roll < 0.85:
-                    agent.M.In.append(msg("visitor_on_site", ilf=Ilf.Untell, mid=1000 + taken))
+                    agent.M.In.append(msg("visitor_left", mid=1000 + taken))
                 else:
                     agent.M.In.append(msg(MASK_NORM_MSG, mid=1000 + taken))
         before = agent.s
@@ -303,7 +302,7 @@ def test_perceive_buffers_percept_changes_until_affmodb():
     agent.s = StepLabel.AffModB
     step(agent, env)
     assert agent.holds(Literal("enter_classroom"))
-    assert agent.C.E[-1].trigger.literal == Literal("enter_classroom")
+    assert agent.C.E[-1].literal == Literal("enter_classroom")
 
     # the percept disappears next tick -> deletion queued, applied at AffModB
     env.percepts = set()
@@ -349,17 +348,7 @@ def test_plain_tell_adds_sender_sourced_belief():
     assert nxt is StepLabel.SelEv
     assert agent.holds(Literal("visitor_on_site"))
     assert agent.bs[Literal("visitor_on_site")] == {"gate"}
-    assert agent.C.E[-1].trigger.literal == Literal("visitor_on_site")
-
-
-def test_untell_retracts_only_sender_copy():
-    agent = build_agent(PATROL_SOURCE)
-    env = make_env()
-    process_message(agent, msg("rumor", sender="a"), env)
-    process_message(agent, msg("rumor", sender="b"), env)
-    process_message(agent, msg("rumor", sender="a", ilf=Ilf.Untell), env)
-    assert agent.bs[Literal("rumor")] == {"b"}
-    assert agent.holds(Literal("rumor"))
+    assert agent.C.E[-1].literal == Literal("visitor_on_site")
 
 
 def test_norm_tell_adopts_and_believes():
@@ -697,7 +686,7 @@ def test_affective_pass_applies_unapplied_memory_once():
     entries = run_affective_cycle(agent, env)
     assert [e.step for e in entries] == ["Appr", "UpAs", "SelCs", "Cope"]
     assert agent.Ta.sigma == (0.2, 0.1)
-    assert agent.Mem[0].applied and agent.Mem[0].appraised
+    assert agent.Mem[0].applied and agent.mem_cursor == 1
     assert agent.ast is AffectiveStepLabel.Appr, "pass rewinds for the next tick"
     # a second pass must not double-apply
     run_affective_cycle(agent, env)
@@ -811,7 +800,7 @@ def _lines(items) -> list[str]:
 
 def _state(agent) -> tuple:
     feedback = {key: (rec.accumulated, rec.count) for key, rec in agent.feedback.items()}
-    return snapshot(agent), [(ev.appraised, ev.applied) for ev in agent.Mem], agent.mem_cursor, feedback
+    return snapshot(agent), [ev.applied for ev in agent.Mem], agent.mem_cursor, feedback
 
 
 def full_passes(forced) -> None:
@@ -972,14 +961,13 @@ def test_memory_appended_between_ticks_is_appraised_once():
 
     assert appraisal_summary() == "0/0 appraised"
     fresh = MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.4, 0.2))
-    seen = MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.4, 0.2), appraised=True)
-    agent.Mem += [fresh, seen]
+    agent.Mem.append(fresh)
     assert appraisal_summary() == "1/1 appraised"
-    assert fresh.appraised and fresh.applied and not seen.applied
+    assert fresh.applied and agent.mem_cursor == 1
     assert agent.Ta.sigma == (0.4, 0.2)
     assert appraisal_summary() == "0/0 appraised"
     assert agent.Ta.sigma == (0.4, 0.2), "applied once"
-    assert agent.mem_cursor == len(agent.Mem) == 2
+    assert agent.mem_cursor == len(agent.Mem) == 1
 
 
 def test_pending_belief_update_makes_the_agent_walk():

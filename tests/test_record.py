@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nea
-from nea.core import AgentConfig, FeedbackRecord, Ilf, Message
+from nea.core import AgentConfig, FeedbackRecord, Message
 from nea.lang import Literal, Sym, parse_plan_text, tokenize
 from nea.norms import UtilityInputs
 
@@ -60,13 +60,13 @@ def test_literal_equality_and_hash():
 
 def test_mutable_records_are_unhashable():
     with pytest.raises(TypeError):
-        hash(Message(mid=1, sender="a", ilf=Ilf.Tell, content="x"))
+        hash(Message(mid=1, sender="a", content="x"))
 
 
 def test_record_repr_names_its_fields():
-    message = Message(mid=3, sender="a", ilf=Ilf.Tell, content="x", recipient="b")
+    message = Message(mid=3, sender="a", content="x", recipient="b")
     assert repr(message) == (
-        "Message(mid=3, sender='a', ilf=<Ilf.Tell: 'Tell'>, content='x', norm=None, appraisal=None, recipient='b')"
+        "Message(mid=3, sender='a', content='x', norm=None, appraisal=None, recipient='b')"
     )
     assert repr(tokenize("x")[0]) == "IDENT('x'@1:1)"
 

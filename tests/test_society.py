@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import nea.society
 from nea import builtin_scenario
-from nea.core import Event, MemKind
+from nea.core import MemKind
 from nea.lang import Literal, TriggerEvent, TriggerKind, TriggerType, parse_agent_program
 from nea.society import (
     METRICS_COLUMNS,
@@ -500,7 +500,7 @@ def test_agents_from_one_program_share_its_plans_and_own_their_state():
     before = copy.deepcopy(b)
     a.ps[0] = a.ps[1]  # a revised plan
     a.add_belief(Literal("visitor_on_site"), "self")
-    a.C.E.append(Event(TriggerEvent(TriggerKind.ADD, TriggerType.BELIEF, Literal("bell"))))
+    a.C.E.append(TriggerEvent(TriggerKind.ADD, TriggerType.BELIEF, Literal("bell")))
     a.NB[0].relevance -= 1.0  # decay
     assert b == before
     assert b.ps[0] is not b.ps[1] and not b.holds(Literal("visitor_on_site"))
@@ -603,13 +603,17 @@ def test_direct_message_reaches_one_recipient():
     assert not society.roster["c"].holds(Literal("hello"))
 
 
-def test_unknown_recipient_is_an_interpreter_fault():
-    spec = raw(
-        ticks=2,
-        agents=[{"id": "a", "program": "standby.\n\n!go.\n\n+!go <- .sendMsg(ghost, hello)."}],
-    )
+# a program cannot forge a norm announcement: only the norm annotation that
+# cycle._announce sets makes one, so the channel's name is unknown mail
+@pytest.mark.parametrize("content", ["hello", 'norm_result("abc","comply")'], ids=["plain", "norm_result"])
+@pytest.mark.parametrize("recipient", ["ghost", OBSERVER_CHANNEL])
+def test_unknown_recipient_is_an_interpreter_fault(recipient, content):
+    program = f"standby.\n\n!go.\n\n+!go <- .sendMsg({recipient}, {content})."
+    spec = raw(ticks=2, agents=[{"id": "a", "program": program}, {"id": "auth", "program": "standby.\n"}])
+    spec["observation"] = {"authority": "auth", "reactions": {"comply": [0.5, 0.5]}}
     society = Society(ScenarioConfig.from_dict(spec))
-    with pytest.raises(InterpreterFault, match="unknown recipient 'ghost'") as caught:
+    reason = rf"^\[a @ ExecInt\] message to unknown recipient '{recipient}'$"
+    with pytest.raises(InterpreterFault, match=reason) as caught:
         society.run()
     assert (caught.value.agent_id, caught.value.step, caught.value.tick) == ("a", "ExecInt", 0)
 
