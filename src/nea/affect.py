@@ -10,7 +10,6 @@ from .core import (
     AgentConfig,
     AppraisalVariables,
     FeedbackRecord,
-    IntendedMeans,
     Intention,
     MemKind,
     MemoryEvent,
@@ -87,7 +86,7 @@ def cope(strategies: list[CopingStrategy], agent: AgentConfig) -> list[Intention
     """Queue one ``+!cope`` intention per strategy action at the tail of C.I,
     except for an action whose ``+!cope`` intention is still pending: like
     Jason, never re-post a pending goal (docs/grammar.md, Personality)."""
-    pending = {s.literal for i in agent.C.I for m in i.stack if m.plan.trigger == _COPE for s in m.remaining}
+    pending = {s.literal for i in agent.C.I if i.plan.trigger == _COPE for s in i.remaining}
     added: list[Intention] = []
     for strategy in strategies:
         for action in strategy.actions:
@@ -95,7 +94,7 @@ def cope(strategies: list[CopingStrategy], agent: AgentConfig) -> list[Intention
                 continue
             pending.add(action)
             plan = PlanDef(trigger=_COPE, body=(BodyStep(StepKind.ACT, action),))
-            intent = agent.new_intention(IntendedMeans(plan=plan, remaining=list(plan.body)))
+            intent = agent.new_intention(plan)
             agent.C.I.append(intent)
             added.append(intent)
     return added

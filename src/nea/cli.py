@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 a run died on an interpreter fault; 2 bad usage,
 unreadable or unparseable input, a malformed scenario, or an unwritable
-``--out``.
+``--out``; 141 the reader of stdout went away (``nea sweep | head``), the
+status a shell reports for a process killed by SIGPIPE.
 
 The run seed is resolved in order: --seed flag, NEA_SEED environment
 variable, the scenario file's seed, 0.
@@ -282,11 +283,16 @@ def cmd_sweep(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_sweep(args)
+    commands = {"check": cmd_check, "run": cmd_run, "sweep": cmd_sweep}
+    try:
+        status = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the rest of the output has no reader: send it, and the interpreter's
+        # final flush, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ An agent configuration is the tuple <ag, C, M, T, Mem, Ta, s, ast>:
 * ag — beliefs bs (each believed literal mapped to the non-empty set of
   sources that believe it), plan library ps, concerns cc, personality P,
   normative beliefs NB;
-* C — circumstance: intentions I, events E, executed actions A;
+* C — circumstance: intentions I (each one plan instance and the body
+  steps it has still to run), events E, executed actions A;
 * M — mailboxes: In, Out;
 * T — temporary info of the current cycle: relevant plans R, applicable
   plans Ap, selected intention iota, selected event epsilon, selected plan rho;
@@ -108,21 +109,14 @@ def norm_id(decl: NormDecl) -> str:
     return sha1(text.encode("utf-8")).hexdigest()[:12]
 
 
-class IntendedMeans(Record):
-    __slots__ = _fields = ("plan", "remaining")
-
-    def __init__(self, plan: PlanDef, remaining: list) -> None:
-        self.plan, self.remaining = plan, remaining  # remaining: list[BodyStep] still to execute
-
-
 class Intention(Record):
-    __slots__ = _fields = ("iid", "stack")
+    """One plan instance: a body posts no subgoal, so an intention never
+    holds more than the plan it was started with."""
 
-    def __init__(self, iid: int, stack: list) -> None:
-        self.iid, self.stack = iid, stack  # stack: list[IntendedMeans], top is last
+    __slots__ = _fields = ("iid", "plan", "remaining")
 
-    def top(self) -> IntendedMeans | None:
-        return self.stack[-1] if self.stack else None
+    def __init__(self, iid: int, plan: PlanDef, remaining: list) -> None:
+        self.iid, self.plan, self.remaining = iid, plan, remaining  # remaining: list[BodyStep] still to execute
 
 
 class Circumstance(Record):
@@ -341,8 +335,8 @@ class AgentConfig(Record):
     def percept_literals(self) -> set:
         return {lit for lit, sources in self.bs.items() if SOURCE_PERCEPT in sources}
 
-    def new_intention(self, means: IntendedMeans) -> Intention:
-        intent = Intention(iid=self._next_iid, stack=[means])
+    def new_intention(self, plan: PlanDef) -> Intention:
+        intent = Intention(self._next_iid, plan, list(plan.body))
         self._next_iid += 1
         return intent
 
@@ -370,12 +364,7 @@ def _nb_json(nb: NormativeBelief) -> dict:
 
 
 def _intention_json(i: Intention) -> dict:
-    return {
-        "iid": i.iid,
-        "stack": [
-            {"plan": render_plan(m.plan), "remaining": len(m.remaining)} for m in i.stack
-        ],
-    }
+    return {"iid": i.iid, "plan": render_plan(i.plan), "remaining": len(i.remaining)}
 
 
 def _message_json(m: Message) -> dict:
@@ -399,7 +388,9 @@ def _mem_json(ev: MemoryEvent) -> dict:
 
 
 def snapshot(agent: AgentConfig) -> dict:
-    """Structured snapshot of the full configuration tuple for trace dumps."""
+    """Structured snapshot of the full configuration tuple for trace dumps;
+    each ``C.I`` entry is ``{"iid", "plan", "remaining"}``, the plan
+    rendered and the count of its body steps still to run."""
     pers = agent.P
     return {
         "id": agent.id,

@@ -46,11 +46,11 @@ does just that and returns the agent-tick as one record,
 template it builds on the agent's first quiet tick and keeps for the run
 (``society.write_trace_text``), and ``QuietTick.entries`` (or ``expand``
 over a list of entries and records) gives back the sixteen entries.  The
-invariant checks read sigma, norm relevance, plan norm ids, ``C.I``,
-``T.R``/``T.Ap``, ``M.In`` and ``Mem``, none of which an idle step changes,
-so the one ``check_invariants`` after the reset (named ``Perceive``, as the
-walk's first check is) raises exactly when the walk's eleven would.  Every
-other agent walks the step machine and runs the full affective pass.
+invariant checks read sigma, norm relevance, plan norm ids, ``T.R``/``T.Ap``,
+``M.In`` and ``Mem``, none of which an idle step changes, so the one
+``check_invariants`` after the reset (named ``Perceive``, as the walk's
+first check is) raises exactly when the walk's eleven would.  Every other
+agent walks the step machine and runs the full affective pass.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from .core import (
     AffectPair,
     AgentConfig,
     DECAY_STEP,
-    IntendedMeans,
     Intention,
     MemKind,
     MemoryEvent,
@@ -463,7 +462,7 @@ def _step_addim(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     rho, ev = agent.T.rho, agent.T.epsilon
     if rho is None or ev is None:
         return _entry(agent, env, "AddIM", "idle")
-    intent = agent.new_intention(IntendedMeans(plan=rho, remaining=list(rho.body)))
+    intent = agent.new_intention(rho)
     agent.C.I.append(intent)
     return _entry(agent, env, "AddIM", f"new intention {intent.iid}")
 
@@ -477,13 +476,11 @@ def _step_selint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
 
 
 def _finish_means(agent: AgentConfig, intent: Intention) -> None:
-    """Pop the finished plan; drop the intention once it is empty."""
-    intent.stack.pop()
-    if not intent.stack:
-        if intent in agent.C.I:
-            agent.C.I.remove(intent)
-        if agent.T.iota is intent:
-            agent.T.iota = None
+    """Drop the finished intention."""
+    if intent in agent.C.I:
+        agent.C.I.remove(intent)
+    if agent.T.iota is intent:
+        agent.T.iota = None
 
 
 def _rotate(agent: AgentConfig, intent: Intention) -> None:
@@ -506,17 +503,17 @@ def _announce(agent: AgentConfig, nid: str, variant: str) -> None:
 
 def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     intent = agent.T.iota
-    if intent is None or not intent.stack:
+    if intent is None:
         agent.s = StepLabel.ClrInt
         return _entry(agent, env, "ExecInt", "idle")
 
-    means = intent.top()
-    if not means.remaining:
+    plan = intent.plan
+    if not intent.remaining:
         _finish_means(agent, intent)
         agent.s = StepLabel.ClrInt
         return _entry(agent, env, "ExecInt", f"intention {intent.iid}: plan finished")
 
-    step_ = means.remaining.pop(0)
+    step_ = intent.remaining.pop(0)
     appraised = False
     payload: dict = {"intention": intent.iid}
 
@@ -536,21 +533,21 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     elif step_.is_affect_update():
         pair = step_.affect_pair()
         agent.Ta.Ub.append(
-            UbEntry(UbKind.APPRAISE, pair=pair, norm_id=means.plan.norm_id, variant=means.plan.variant)
+            UbEntry(UbKind.APPRAISE, pair=pair, norm_id=plan.norm_id, variant=plan.variant)
         )
-        if means.plan.norm_id is not None:
-            _announce(agent, means.plan.norm_id, means.plan.variant or COMPLY)
+        if plan.norm_id is not None:
+            _announce(agent, plan.norm_id, plan.variant or COMPLY)
         appraised = True
         summary = f"affect[{pair[0]:g},{pair[1]:g}]"
-        payload["norm"] = means.plan.norm_id
-        payload["variant"] = means.plan.variant
+        payload["norm"] = plan.norm_id
+        payload["variant"] = plan.variant
     else:  # plain action
         agent.C.A.append(step_.literal)
         summary = render_literal(step_.literal)
         # Attribution: an action can comply with / violate a norm other than
         # the one that generated the executing plan (that norm's own variant
         # already carries its appraisal in the trailing affect step).
-        others = [nb for nb in agent.NB if nb.id != means.plan.norm_id]
+        others = [nb for nb in agent.NB if nb.id != plan.norm_id]
         hit = comply_to_norm(step_.literal, others, agent.cycle)
         if hit is not None:
             pair, nb = hit
@@ -564,7 +561,7 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
             payload["norm"] = nb.id
             payload["variant"] = variant
 
-    if not means.remaining:
+    if not intent.remaining:
         _finish_means(agent, intent)
     _rotate(agent, intent)
 
@@ -574,11 +571,9 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
 
 def _step_clrint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     agent.s = StepLabel.AffModB
-    stale = [i for i in agent.C.I if not i.stack or all(not m.remaining for m in i.stack)]
+    stale = [i for i in agent.C.I if not i.remaining]
     for intent in stale:
-        agent.C.I.remove(intent)
-        if agent.T.iota is intent:
-            agent.T.iota = None
+        _finish_means(agent, intent)
     if not stale:
         return _entry(agent, env, "ClrInt", "idle")
     return _entry(agent, env, "ClrInt", f"cleared {len(stale)}")
@@ -864,9 +859,6 @@ def check_invariants(agent: AgentConfig, at: StepLabel | str) -> None:
     for plan in agent.ps:
         if plan.norm_id not in known:
             raise _fault(agent, at, f"plan references unknown norm {plan.norm_id}")
-    for intent in agent.C.I:
-        if not intent.stack:
-            raise _fault(agent, at, f"empty intention {intent.iid} in C.I")
     if agent.T.R and agent.T.Ap:
         rel_ids = {id(p) for p in agent.T.R}
         if any(id(p) not in rel_ids for p in agent.T.Ap):

@@ -85,12 +85,8 @@ def gen_norm_plans(ps: list, nb: NormativeBelief) -> list:
     The comply variant executes the base body (the first non-variant plan
     with the same trigger, if any), then the norm's own body, then an affect
     step adding the pre-appraisal; the break variant omits the norm body and
-    adds the opposite emotion.  Idempotent: if the library already holds
-    plans attributed to this norm, nothing is added.  Returns the plans added.
+    adds the opposite emotion.  Returns the plans added.
     """
-    if any(p.norm_id == nb.id for p in ps):
-        return []
-
     trig = nb.plan.trigger
     base_body: tuple = ()
     for plan in ps:
@@ -240,14 +236,13 @@ def select_intention(
     cycle: int,
     threshold: float,
 ) -> Intention | None:
-    """Normative intentions (top plan owned by an active norm) first, then
-    the rest; insertion order within each class."""
+    """Normative intentions (plan owned by an active norm) first, then the
+    rest; insertion order within each class."""
     by_norm = {nb.id: nb for nb in nbs}
     for intent in intentions:
-        top = intent.top()
-        if top is None or top.plan.norm_id is None:
+        if intent.plan.norm_id is None:
             continue
-        nb = by_norm.get(top.plan.norm_id)
+        nb = by_norm.get(intent.plan.norm_id)
         if nb is not None and active(nb, cycle, threshold):
             return intent
     return intentions[0] if intentions else None

@@ -17,7 +17,8 @@ from contextlib import contextmanager
 
 from nea.affect import affect_decay, update_affect
 from nea.cli import main
-from nea.core import NormativeBelief, norm_id
+from nea.core import AgentConfig, NormativeBelief, norm_id
+from nea.cycle import _adopt_norm
 from nea.lang import (
     Literal,
     StepKind,
@@ -271,7 +272,7 @@ def test_criterion_4_generation_and_decay():
     with criterion(4, "plan generation + decay laws", budget=60.0):
         rng = random.Random(4001)
 
-        # pair-addition and idempotence over randomized norms
+        # pair-addition over randomized norms, and idempotent adoption
         for case in range(1000):
             deontic = rng.choice(("obligation", "prohibition"))
             trigger = f"t{rng.randrange(8)}"
@@ -296,7 +297,11 @@ def test_criterion_4_generation_and_decay():
                 assert plan.context == nb.plan.context
             assert comply.body == base.body + nb.plan.body + (affect_step(nb.pre_appraisal),)
             assert breach.body == base.body + (affect_step(opp_emotion(nb.pre_appraisal)),)
-            assert gen_norm_plans(ps, nb) == [] and len(ps) == 3, "idempotent"
+            agent = AgentConfig(id="a", ps=[base])
+            assert _adopt_norm(agent, decl, nb.id) == nb.id and agent.ps == ps
+            held = (list(agent.ps), list(agent.NB), agent.plan_version)
+            assert _adopt_norm(agent, decl, nb.id) is None, "idempotent"
+            assert (agent.ps, agent.NB, agent.plan_version) == held
 
         # relevance decay reaches any positive threshold within ceil(rel0/rate)
         # ticks, after which the norm's plans are no longer promoted

@@ -159,7 +159,7 @@ def test_cope_queues_act_intentions():
         pleasure=(-1.0, 0.0), arousal=(-1.0, 0.0), actions=(Literal("breathe"), Literal("rest"))
     )
     added = cope([strategy], agent)
-    assert [i.top().plan.body[0].literal.functor for i in added] == ["breathe", "rest"]
+    assert [i.plan.body[0].literal.functor for i in added] == ["breathe", "rest"]
     assert agent.C.I == added
 
 

@@ -745,3 +745,22 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("nea ")
+
+
+@pytest.mark.parametrize(
+    "command", [["sweep"], ["check", str(CORPUS_DIR / "professor_conformist.nea")]], ids=["sweep", "check"]
+)
+def test_closed_stdout_exits_141(command):
+    """``nea sweep | head -n 1``: once the reader of stdout is gone the
+    command stops with the status a shell gives SIGPIPE, not a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nea.cli", *command], stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (141, "")

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import nea
 from nea.core import (
-    IntendedMeans,
     MemKind,
     NormativeBelief,
     SOURCE_PERCEPT,
@@ -149,11 +148,11 @@ def test_norm_id_is_hashlib_sha1_without_loading_hashlib(corpus):
 
 def test_intentions_get_unique_ids():
     agent = build_agent(PATROL_SOURCE)
-    means = IntendedMeans(plan=agent.ps[0], remaining=list(agent.ps[0].body))
-    first = agent.new_intention(means)
-    second = agent.new_intention(IntendedMeans(plan=agent.ps[1], remaining=[]))
+    first = agent.new_intention(agent.ps[0])
+    second = agent.new_intention(agent.ps[1])
     assert first.iid != second.iid
-    assert first.top().plan is agent.ps[0]
+    assert first.plan is agent.ps[0]
+    assert first.remaining == list(agent.ps[0].body) and first.remaining is not second.remaining
 
 
 def test_scalar_mood_and_clamp():

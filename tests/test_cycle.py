@@ -9,7 +9,7 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import nea.core
@@ -19,7 +19,6 @@ from nea import builtin_scenario
 from nea.affect import accumulate_feedback, queue_belief_add
 from nea.core import (
     AffectiveStepLabel,
-    Intention,
     MemKind,
     MemoryEvent,
     Message,
@@ -192,17 +191,14 @@ def _out_of_range(agent, env):
 
 
 def _negative_relevance(agent, env):
-    adopt_mask_norm(agent, env)
+    decl = parse_norm(MASK_NORM_MSG)
+    _adopt_norm(agent, decl, norm_id(decl))  # none when already held
     agent.NB[0].relevance = -0.1
 
 
 def _unknown_norm_plan(agent, env):
     p = agent.ps[0]
     agent.ps.append(PlanDef(p.trigger, p.context, p.body, p.label, p.normative, norm_id="ghost", variant=p.variant))
-
-
-def _empty_intention(agent, env):
-    agent.C.I.append(Intention(iid=7, stack=[]))
 
 
 def _foreign_applicable(agent, env):
@@ -227,7 +223,6 @@ BREACHES = [
     (_out_of_range, "affective state out of range"),
     (_negative_relevance, "negative relevance"),
     (_unknown_norm_plan, "plan references unknown norm ghost"),
-    (_empty_intention, "empty intention 7"),
     (_foreign_applicable, "applicable plans not drawn from relevant plans"),
     (_duplicate_mids, "duplicate message ids"),
     (_memory_out_of_order, "memory ticks not monotone"),
@@ -730,8 +725,7 @@ personality__: { [0.5,0.5,0.5,0.5,0.5], 0.9,
     cope_entry = next(e for e in entries if e.step == "Cope")
     assert "1 coping intention" in cope_entry.summary
     assert len(agent.C.I) == 1
-    means = agent.C.I[0].top()
-    assert [s.literal.functor for s in means.remaining] == ["take_break"]
+    assert [s.literal.functor for s in agent.C.I[0].remaining] == ["take_break"]
 
 
 def test_coping_queue_holds_one_pending_intention_per_action():
@@ -749,7 +743,7 @@ personality__: { [0.5,0.5,0.5,0.5,0.5], 0.9,
         agent.Ta.sigma = (-0.5, 0.0)  # inside all three ranges on every tick
         tick(agent, make_env(tick=t))
         sizes.append(len(agent.C.I))
-        pending = [m.remaining[0].literal.functor for i in agent.C.I for m in i.stack if m.remaining]
+        pending = [i.remaining[0].literal.functor for i in agent.C.I if i.remaining]
         assert len(pending) == len(set(pending)), f"tick {t}: {pending}"
     assert max(sizes) <= 3, "at most one pending coping intention per distinct action"
     done = Counter(a.functor for a in agent.C.A)
@@ -924,14 +918,13 @@ def test_half_quiet_tick_emits_sixteen_entries(monkeypatch):
     assert [e.summary for e in entries[11:13]] == ["1/1 appraised", "1 applied, sigma [0.400,0.200]"]
 
 
-#: Breaches that leave the agent quiet, and two that make it walk; either
+#: Breaches that leave the agent quiet, and one that makes it walk; either
 #: way the tick's first invariant check names Perceive.
 QUIET_BREACHES = [
     (_out_of_range, "affective state out of range", True),
     (_negative_relevance, "negative relevance", True),
     (_unknown_norm_plan, "plan references unknown norm ghost", True),
     (_memory_out_of_order, "memory ticks not monotone", True),
-    (_empty_intention, "empty intention 7", False),
     (_duplicate_mids, "duplicate message ids", False),
 ]
 
@@ -1058,6 +1051,10 @@ def addressed(program: AgentProgram, ids: list[str]) -> AgentProgram:
     )
 
 
+#: Built once: Hypothesis validates a strategy on its first draw.
+PROGRAMS = _programs()
+
+
 def draw_society(data) -> tuple[Society, defaultdict]:
     """A society of two to four agents from random programs, ``norms__``
     blocks included, that perceive the literals their plans trigger on and
@@ -1065,7 +1062,7 @@ def draw_society(data) -> tuple[Society, defaultdict]:
     random social feedback, as tick -> [(recipient, message)] to deliver
     before that tick runs."""
     ids = [f"a{i}" for i in range(data.draw(st.integers(2, 4), label="agents"))]
-    programs = [addressed(data.draw(_programs(), label=aid), ids) for aid in ids]
+    programs = [addressed(data.draw(PROGRAMS, label=aid), ids) for aid in ids]
     plans = [p for prog in programs for p in (*prog.plans, *(d.plan for d in prog.norms))]
     sent = [step_.content for p in plans for step_ in p.body if step_.kind is StepKind.SEND]
     triggers = {p.trigger.literal for p in plans if p.trigger.type is TriggerType.BELIEF}
@@ -1120,6 +1117,57 @@ def test_random_societies_equal_the_full_passes(data):
             for agent, actions in zip(society.roster.values(), coping):
                 assert len(agent.C.I) <= t + 1 + actions
     assert quiet["ticks"] == SOCIETY_TICKS * len(society.roster)
+
+
+#: The plans a breach copies from; an agent holding fewer cannot take it.
+PLANS_NEEDED = {_unknown_norm_plan: 1, _foreign_applicable: 2}
+
+
+def run_society(society: Society, mail: defaultdict) -> None:
+    for t in range(SOCIETY_TICKS):
+        for aid, message in mail[t]:
+            society._deliver_copy(message, aid)
+        society.run_tick(t)
+
+
+# no shrink phase: shrinking a failing society takes minutes (see test_cli.py)
+@settings(max_examples=30, deadline=None, phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(data=st.data())
+def test_breach_in_a_random_society_names_its_step(data):
+    """A breach of any invariant, made just after a step that an agent of a
+    random society (``draw_society``) walks, faults there: the
+    ``InterpreterFault`` names that step, agent and tick.  Each breach the
+    agent can take is tried at a walked step drawn for it."""
+    society, mail = draw_society(data)
+    walked: list = []  # (tick, agent id, label, plans held) of each walked step
+    with pytest.MonkeyPatch.context() as mp:
+        for label, (func, successors) in nea.cycle._STEPS.items():
+
+            def recorded(agent, env, func=func, label=label):
+                walked.append((env.tick, agent.id, label, len(agent.ps)))
+                return func(agent, env)
+
+            mp.setitem(nea.cycle._STEPS, label, (recorded, successors))
+        run_society(society, mail)
+    if not walked:  # every agent-tick was quiet
+        return
+    for breach, reason in BREACHES:
+        at, aid, label, plans = data.draw(st.sampled_from(walked), label=breach.__name__)
+        if plans < PLANS_NEEDED.get(breach, 0):
+            continue
+        func, successors = nea.cycle._STEPS[label]
+
+        def breached(agent, env, func=func, at=at, aid=aid, breach=breach):
+            entry = func(agent, env)
+            if (env.tick, agent.id) == (at, aid):
+                breach(agent, env)
+            return entry
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(nea.cycle._STEPS, label, (breached, successors))
+            with pytest.raises(InterpreterFault, match=reason) as caught:
+                run_society(Society(society.config, seed=1), mail)
+        assert (caught.value.step, caught.value.agent_id, caught.value.tick) == (label.value, aid, at)
 
 
 MASKED_CAMPUS = frozenset({("wearing_mask", True), ("in_campus", True)})
@@ -1242,7 +1290,7 @@ def test_selected_coping_alone_walks_and_equals_the_full_passes(monkeypatch):
     entries, _ = nea.society.agent_tick(gloomy, env)
     assert [e.step for e in entries] == TICK_STEPS
     assert entries[14].summary == "1 coping intentions"
-    assert [render_trigger(i.top().plan.trigger) for i in gloomy.C.I] == ["+!cope"]
+    assert [render_trigger(i.plan.trigger) for i in gloomy.C.I] == ["+!cope"]
     env.tick += 1
     entries, _ = nea.society.agent_tick(gloomy, env)  # runs it; none pending is queued twice
     assert entries[8].summary == "rest"

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nea.core import MemKind, MemoryEvent, NormativeBelief, norm_id
-from nea.lang import AFFECT_FUNCTOR, Literal, StepKind
+from nea.core import AgentConfig, MemKind, Message, MemoryEvent, NormativeBelief, norm_id
+from nea.cycle import EnvironmentView, _adopt_norm, step
+from nea.lang import AFFECT_FUNCTOR, Literal, StepKind, parse_literal_text
 from nea.norms import (
     BREAK,
     COMPLY,
@@ -31,22 +32,25 @@ from nea.norms import (
     select_intention,
 )
 
-from conftest import parse_norm
+from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent, parse_norm
 
 
-def make_norm(
+def norm_decl(
     deontic: str = "obligation",
     action: str = "put_on_mask",
     limit: int = 0,
     relevance: float = 30.0,
     pa=(0.5, 0.5),
     trigger: str = "enter_classroom",
-) -> NormativeBelief:
-    text = (
+):
+    return parse_norm(
         f'norm("{deontic}", "np__{trigger}:not done <- {action}; +done.",'
         f' {limit}, {relevance}, "ALL", [{pa[0]},{pa[1]}])'
     )
-    decl = parse_norm(text)
+
+
+def make_norm(*args, **kw) -> NormativeBelief:
+    decl = norm_decl(*args, **kw)
     return NormativeBelief.from_decl(decl, norm_id(decl))
 
 
@@ -175,12 +179,25 @@ def test_gen_norm_plans_pair_addition():
 
 
 def test_gen_norm_plans_idempotent():
-    nb = make_norm()
-    ps = base_plan_library()
-    gen_norm_plans(ps, nb)
-    before = list(ps)
-    assert gen_norm_plans(ps, nb) == []
-    assert ps == before
+    """Adopting a held norm again changes nothing: ``_adopt_norm``, the only
+    caller of ``gen_norm_plans``, returns first, whether the second copy is
+    adopted directly or told after the first was perceived."""
+    decl = parse_norm(MASK_NORM_TEXT)
+    nid = norm_id(decl)
+    agent = build_agent(PATROL_SOURCE)
+    assert _adopt_norm(agent, decl, nid) == nid
+    held = (list(agent.ps), list(agent.NB), agent.plan_version)
+    assert _adopt_norm(agent, decl, nid) is None
+    assert (agent.ps, agent.NB, agent.plan_version) == held
+
+    agent = build_agent(PATROL_SOURCE)
+    env = EnvironmentView(percepts={parse_literal_text(MASK_NORM_TEXT)})
+    agent.M.In.append(Message(mid=1, sender="rectorate", content=MASK_NORM_TEXT))
+    assert step(agent, env).summary == f"+1/-0 percepts, adopted {nid}"
+    held = (list(agent.ps), list(agent.NB), agent.plan_version)
+    assert len(agent.ps) == 4 and agent.plan_version == 1
+    assert step(agent, env).summary == "norm from rectorate: already held"
+    assert (agent.ps, agent.NB, agent.plan_version) == held
 
 
 def test_gen_norm_plans_without_base_plan():
@@ -202,15 +219,17 @@ def test_gen_norm_plans_without_base_plan():
     with_base=st.booleans(),
 )
 def test_gen_norm_plans_properties(deontic, pa, limit, with_base):
-    nb = make_norm(deontic=deontic, limit=limit, pa=(round(pa[0], 6), round(pa[1], 6)))
+    decl = norm_decl(deontic=deontic, limit=limit, pa=(round(pa[0], 6), round(pa[1], 6)))
+    nb = NormativeBelief.from_decl(decl, norm_id(decl))
     ps = base_plan_library() if with_base else []
     size0 = len(ps)
     added = gen_norm_plans(ps, nb)
     assert len(added) == 2
     assert len(ps) == size0 + 2
     assert {p.variant for p in added} == {COMPLY, BREAK}
-    again = gen_norm_plans(ps, nb)
-    assert again == [] and len(ps) == size0 + 2
+    agent = AgentConfig(id="x", ps=ps)
+    agent.NB.append(nb)  # held, as adoption leaves it
+    assert _adopt_norm(agent, decl, nb.id) is None and len(ps) == size0 + 2
 
 
 # ----------------------------------------------------------------------
@@ -435,18 +454,14 @@ def test_affect_step_shape():
 
 
 def test_select_intention_prefers_active_norms():
-    from nea.core import AgentConfig, IntendedMeans
-
     agent = AgentConfig(id="x")
     nb = make_norm(relevance=30.0)
     plans: list = []
     gen_norm_plans(plans, nb)
     from nea.lang import parse_plan_text
 
-    plain = agent.new_intention(
-        IntendedMeans(plan=parse_plan_text("+t8 <- act."), remaining=[])
-    )
-    normative = agent.new_intention(IntendedMeans(plan=plans[0], remaining=[]))
+    plain = agent.new_intention(parse_plan_text("+t8 <- act."))
+    normative = agent.new_intention(plans[0])
     assert select_intention([plain, normative], [nb], 0, 25.0) is normative
     assert select_intention([plain], [nb], 0, 25.0) is plain
     assert select_intention([], [nb], 0, 25.0) is None
