@@ -13,10 +13,11 @@ from .core import (
     Intention,
     MemKind,
     MemoryEvent,
-    SOURCE_SELF,
+    SELF_CAUSED,
     UbEntry,
     UbKind,
     clamp_pair,
+    role_name,
 )
 from .lang import (
     BodyStep,
@@ -46,17 +47,12 @@ def appraise(event: MemoryEvent) -> AppraisalVariables | None:
     pleasure, _arousal = event.pair
     if event.pair == (0.0, 0.0):
         return None
-    self_caused = event.kind in (
-        MemKind.OWN_COMPLIANCE,
-        MemKind.OWN_VIOLATION,
-        MemKind.SELF_APPRAISAL,
-    )
     return AppraisalVariables(
         desirability=(pleasure + 1.0) / 2.0,
         likelihood=1.0,
         expectedness=0.0,
         controllability=1.0,
-        causal_attribution=1 if self_caused else 0,
+        causal_attribution=1 if event.kind in SELF_CAUSED else 0,
     )
 
 
@@ -65,7 +61,7 @@ def update_affect(sigma: AffectPair, response: AffectPair, n_agents: int) -> Aff
     return clamp_pair((sigma[0] + response[0] / n_agents, sigma[1] + response[1] / n_agents))
 
 
-def affect_decay(sigma: AffectPair, rate: float = 0.05) -> AffectPair:
+def affect_decay(sigma: AffectPair, rate: float) -> AffectPair:
     """Multiplicative per-tick pull toward the neutral state."""
     return (sigma[0] * (1.0 - rate), sigma[1] * (1.0 - rate))
 
@@ -133,16 +129,7 @@ def sync_beliefs(agent: AgentConfig, tick: int) -> dict:
                 kind = MemKind.OWN_VIOLATION
             else:
                 kind = MemKind.SELF_APPRAISAL
-            agent.Mem.append(
-                MemoryEvent(
-                    tick=tick,
-                    kind=kind,
-                    pair=entry.pair,
-                    norm_id=entry.norm_id,
-                    source=SOURCE_SELF,
-                    divisor=1,
-                )
-            )
+            agent.Mem.append(MemoryEvent(tick, kind, entry.pair, entry.norm_id))
             appraised.append(entry.variant or "?")
 
     agent.Ta.Ub = []
@@ -207,8 +194,8 @@ def _simulation_seed(plan: PlanDef, believed: frozenset) -> set:
     Seeded with the *believed* avoid literals — except those the plan
     itself adds (they are the plan's doing, not lingering state, so a
     deletion inserted for them would be undone by the plan anyway) — then
-    constrained by the plan's context: positive non-role context literals
-    hold, negated ones do not.
+    constrained by the plan's context: positive context literals other than
+    role checks (``core.role_name``) hold, negated ones do not.
     """
     plan_adds = {
         render_literal(step.literal) for step in plan.body if step.kind is StepKind.ADD
@@ -218,7 +205,7 @@ def _simulation_seed(plan: PlanDef, believed: frozenset) -> set:
         text = render_literal(cl.literal)
         if cl.negated:
             state.discard(text)
-        elif cl.literal.functor != "role":
+        elif role_name(cl.literal) is None:
             state.add(text)
     return state
 
@@ -234,7 +221,7 @@ def detect_social_norm(
     record: FeedbackRecord,
     ps: list,
     belief_texts: frozenset,
-    threshold: AffectPair = (0.5, 0.5),
+    threshold: AffectPair,
 ) -> list:
     """Plans whose execution can leave the agent in the record's condition,
     once the accumulated feedback deviates negatively beyond *threshold*

@@ -28,6 +28,7 @@ from .lang import (
     NormDecl,
     PersonalityDecl,
     PlanDef,
+    Sym,
     render_literal,
     render_norm,
     render_plan,
@@ -77,6 +78,15 @@ def clamp_pair(pair: AffectPair) -> AffectPair:
         min(1.0, max(-1.0, pair[0])),
         min(1.0, max(-1.0, pair[1])),
     )
+
+
+def role_name(lit: Literal) -> str | None:
+    """The role a ``role(r)`` context literal checks; None for any other
+    literal, bare ``role`` included, which is a belief."""
+    if lit.functor != "role" or len(lit.args) != 1:
+        return None
+    arg = lit.args[0]
+    return arg.name if isinstance(arg, Sym) else str(arg)
 
 
 def scalar_mood(sigma: AffectPair) -> float:
@@ -218,19 +228,24 @@ class MemKind(Enum):
     SOCIAL_FEEDBACK = "social-feedback"
 
 
-class MemoryEvent(Record):
-    """*divisor*: society-sourced pairs divide by the agent count; *applied*:
-    the pair has reached sigma.  The appraisal step has seen an entry when
-    its index lies below ``AgentConfig.mem_cursor``."""
+#: The kinds of the agent's own appraisals, which UpAs folds into sigma.  A
+#: tuple: membership tests compare enum members by identity.
+SELF_CAUSED = (MemKind.OWN_COMPLIANCE, MemKind.OWN_VIOLATION, MemKind.SELF_APPRAISAL)
 
-    __slots__ = _fields = ("tick", "kind", "pair", "norm_id", "source", "divisor", "applied")
+
+class MemoryEvent(Record):
+    """One affectively relevant event.  A self-caused one (``SELF_CAUSED``)
+    reaches sigma, undivided, at the next UpAs step; a societal response
+    shifted sigma by its pair over the agent count when ProcMsg read it.
+    The affective pass has seen an entry when its index lies below
+    ``AgentConfig.mem_cursor``."""
+
+    __slots__ = _fields = ("tick", "kind", "pair", "norm_id", "source")
 
     def __init__(
         self, tick: int, kind: MemKind, pair: AffectPair, norm_id: str | None = None, source: str = SOURCE_SELF,
-        divisor: int = 1, applied: bool = False,
     ) -> None:
         self.tick, self.kind, self.pair, self.norm_id, self.source = tick, kind, pair, norm_id, source
-        self.divisor, self.applied = divisor, applied
 
 
 class FeedbackRecord(Record):

@@ -12,10 +12,11 @@ a successor allowed by ``EDGES``:
   emotion lands in memory within the same tick.
 
 The affective pass (``run_affective_cycle``) appraises fresh memory, folds
-unapplied responses into the affective state, revises plans punished by
-social feedback, and queues coping actions.  ``run_decay`` then pulls the
-affective state toward neutral and erodes the relevance of unreinforced
-norms.  ``tick`` strings the three passes together.  The payload of a
+the agent's own appraisals (``core.SELF_CAUSED``) into the affective state,
+revises plans punished by social feedback, and queues coping actions; a
+societal response shifted that state when ProcMsg read it.  ``run_decay``
+then pulls the affective state toward neutral and erodes the relevance of
+unreinforced norms.  ``tick`` strings the three passes together.  The payload of a
 step's ``TraceEntry`` appears only in ``trace.jsonl``.  While
 ``EnvironmentView.payloads`` is off, as on a text run, Perceive skips its
 sorted literal lists and ``run_decay`` its payload, and ``_entry`` drops
@@ -82,12 +83,14 @@ from .core import (
     MemoryEvent,
     Message,
     NormativeBelief,
+    SELF_CAUSED,
     SOURCE_PERCEPT,
     SOURCE_SELF,
     StepLabel,
     UbEntry,
     UbKind,
     norm_id,
+    role_name,
     scalar_mood,
 )
 from .lang import (
@@ -109,8 +112,6 @@ from .lang import (
     render_trigger,
 )
 from .norms import (
-    BREAK,
-    COMPLY,
     UtilityInputs,
     anticipated_mood,
     choose_variant,
@@ -292,6 +293,13 @@ def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     return _entry(agent, env, "Perceive", summary, {"new": new, "removed": removed, "adopted": adopted})
 
 
+def _respond(agent: AgentConfig, env: EnvironmentView, kind: MemKind, message: Message, pair: AffectPair) -> None:
+    """A societal response: shift sigma by *pair* over the agent count and
+    remember it; UpAs leaves it alone."""
+    agent.Ta.sigma = update_affect(agent.Ta.sigma, pair, env.n_agents)
+    agent.Mem.append(MemoryEvent(env.tick, kind, pair, message.norm, message.sender))
+
+
 def process_message(
     agent: AgentConfig, message: Message, env: EnvironmentView
 ) -> tuple[str, StepLabel, dict]:
@@ -317,18 +325,7 @@ def process_message(
         before = nb.relevance
         nb.relevance = increment_relevance(nb.relevance, env.n_agents, env.delta)
         pair = message.appraisal or (0.0, 0.0)
-        agent.Ta.sigma = update_affect(agent.Ta.sigma, pair, env.n_agents)
-        agent.Mem.append(
-            MemoryEvent(
-                tick=env.tick,
-                kind=MemKind.NORM_FEEDBACK,
-                pair=pair,
-                norm_id=message.norm,
-                source=message.sender,
-                divisor=env.n_agents,
-                applied=True,
-            )
-        )
+        _respond(agent, env, MemKind.NORM_FEEDBACK, message, pair)
         return (
             f"norm feedback {message.norm} rel {before:g}->{nb.relevance:g}",
             StepLabel.AffModB,
@@ -338,17 +335,7 @@ def process_message(
     if content.startswith("("):
         condition, pair = parse_feedback(content)
         record = accumulate_feedback(agent.feedback, condition, pair)
-        agent.Ta.sigma = update_affect(agent.Ta.sigma, pair, env.n_agents)
-        agent.Mem.append(
-            MemoryEvent(
-                tick=env.tick,
-                kind=MemKind.SOCIAL_FEEDBACK,
-                pair=pair,
-                source=message.sender,
-                divisor=env.n_agents,
-                applied=True,
-            )
-        )
+        _respond(agent, env, MemKind.SOCIAL_FEEDBACK, message, pair)
         return (
             f"social feedback from {message.sender} acc [{record.accumulated[0]:g},{record.accumulated[1]:g}]",
             StepLabel.SelEv,
@@ -405,15 +392,11 @@ def _step_relpl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
 
 def context_holds(agent: AgentConfig, context: tuple) -> bool:
     """A context conjunction holds when every positive literal is believed
-    (role(r) checks the agent's roles) and every negated one is not."""
+    (``role(r)`` checks the agent's roles, see ``core.role_name``) and every
+    negated one is not."""
     for cl in context:
-        lit = cl.literal
-        if lit.functor == "role" and len(lit.args) == 1:
-            arg = lit.args[0]
-            name = arg.name if isinstance(arg, Sym) else str(arg)
-            held = name in agent.roles
-        else:
-            held = agent.holds(lit)
+        name = role_name(cl.literal)
+        held = agent.holds(cl.literal) if name is None else name in agent.roles
         if held == cl.negated:
             return False
     return True
@@ -489,16 +472,22 @@ def _rotate(agent: AgentConfig, intent: Intention) -> None:
         agent.C.I.append(intent)
 
 
-def _announce(agent: AgentConfig, nid: str, variant: str) -> None:
-    agent.M.Out.append(
-        Message(
-            mid=-1,
-            sender=agent.id,
-            content=f'norm_result("{nid}","{variant}")',
-            norm=nid,
-            recipient=OBSERVER_CHANNEL,
+def _appraise(agent: AgentConfig, pair: AffectPair, nid: str | None, variant: str | None, payload: dict) -> None:
+    """Queue the appraisal *pair* for AffModB and note it in *payload*; one
+    attributed to norm *nid* is announced to the observers as *variant*."""
+    agent.Ta.Ub.append(UbEntry(UbKind.APPRAISE, pair=pair, norm_id=nid, variant=variant))
+    if nid is not None:
+        agent.M.Out.append(
+            Message(
+                mid=-1,
+                sender=agent.id,
+                content=f'norm_result("{nid}","{variant}")',
+                norm=nid,
+                recipient=OBSERVER_CHANNEL,
+            )
         )
-    )
+    payload["norm"] = nid
+    payload["variant"] = variant
 
 
 def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
@@ -532,15 +521,9 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         summary = f".sendMsg({recipient}, {content})"
     elif step_.is_affect_update():
         pair = step_.affect_pair()
-        agent.Ta.Ub.append(
-            UbEntry(UbKind.APPRAISE, pair=pair, norm_id=plan.norm_id, variant=plan.variant)
-        )
-        if plan.norm_id is not None:
-            _announce(agent, plan.norm_id, plan.variant or COMPLY)
+        _appraise(agent, pair, plan.norm_id, plan.variant, payload)
         appraised = True
         summary = f"affect[{pair[0]:g},{pair[1]:g}]"
-        payload["norm"] = plan.norm_id
-        payload["variant"] = plan.variant
     else:  # plain action
         agent.C.A.append(step_.literal)
         summary = render_literal(step_.literal)
@@ -550,16 +533,10 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         others = [nb for nb in agent.NB if nb.id != plan.norm_id]
         hit = comply_to_norm(step_.literal, others, agent.cycle)
         if hit is not None:
-            pair, nb = hit
-            variant = COMPLY if nb.deontic == "obligation" else BREAK
-            agent.Ta.Ub.append(
-                UbEntry(UbKind.APPRAISE, pair=pair, norm_id=nb.id, variant=variant)
-            )
-            _announce(agent, nb.id, variant)
+            variant, pair, nb = hit
+            _appraise(agent, pair, nb.id, variant, payload)
             appraised = True
             summary += f" [{variant} {nb.id}]"
-            payload["norm"] = nb.id
-            payload["variant"] = variant
 
     if not intent.remaining:
         _finish_means(agent, intent)
@@ -664,8 +641,13 @@ def _feedback_stamp(agent: AgentConfig, record, texts: frozenset, env: Environme
     )
 
 
-def _upas_summary(applied: int, sig: AffectPair) -> str:
-    return f"{applied} applied, sigma [{sig[0]:.3f},{sig[1]:.3f}]"
+def sigma_text(sig: AffectPair) -> str:
+    """The affective state as the UpAs and decay summaries show it."""
+    return f"sigma [{sig[0]:.3f},{sig[1]:.3f}]"
+
+
+def upas_summary(applied: int, sig: AffectPair) -> str:
+    return f"{applied} applied, {sigma_text(sig)}"
 
 
 def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
@@ -688,15 +670,15 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
             appraised_n += 1
     entries.append(_entry(agent, env, "Appr", f"{appraised_n}/{len(batch)} appraised"))
 
-    # UpAs: fold responses not already applied into the affective state.
+    # UpAs: fold the agent's own appraisals into the affective state (a
+    # societal response shifted it when ProcMsg read it).
     agent.ast = AffectiveStepLabel.UpAs
     applied_n = 0
     for ev in batch:
-        if not ev.applied:
-            agent.Ta.sigma = update_affect(agent.Ta.sigma, ev.pair, ev.divisor)
-            ev.applied = True
+        if ev.kind in SELF_CAUSED:
+            agent.Ta.sigma = update_affect(agent.Ta.sigma, ev.pair, 1)
             applied_n += 1
-    entries.append(_entry(agent, env, "UpAs", _upas_summary(applied_n, agent.Ta.sigma)))
+    entries.append(_entry(agent, env, "UpAs", upas_summary(applied_n, agent.Ta.sigma)))
 
     # SelCs: revise plans punished by accumulated social feedback (a settled
     # record is skipped: detection would flag nothing again), then pick the
@@ -748,7 +730,7 @@ def run_decay(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         "beliefs": list(agent.belief_texts()),
         "feedback": {rec.text: list(rec.accumulated) for rec in agent.feedback.values()},
     } if env.payloads else None
-    return _entry(agent, env, DECAY_STEP, f"sigma [{sig[0]:.3f},{sig[1]:.3f}]", payload)
+    return _entry(agent, env, DECAY_STEP, sigma_text(sig), payload)
 
 
 # ----------------------------------------------------------------------
@@ -821,7 +803,7 @@ def tick(agent: AgentConfig, env: EnvironmentView) -> tuple[list[TraceEntry | Qu
         check_invariants(agent, StepLabel.Perceive)
         agent.Ta.Cs = []
         agent.ast = AffectiveStepLabel.Appr
-        upas = _upas_summary(0, agent.Ta.sigma)
+        upas = upas_summary(0, agent.Ta.sigma)
         items: list = [QuietTick(env.tick, agent.id, upas, run_decay(agent, env))]
     else:
         items = _walk(agent, env)

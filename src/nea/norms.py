@@ -34,7 +34,7 @@ def opp_emotion(pair: AffectPair) -> AffectPair:
     return (-pair[0], -pair[1])
 
 
-def increment_relevance(relevance: float, n_agents: int, delta: float = 0.1) -> float:
+def increment_relevance(relevance: float, n_agents: int, delta: float) -> float:
     """Reinforce a norm's relevance from one societal response."""
     return max(relevance + delta / n_agents, 1.0)
 
@@ -42,7 +42,7 @@ def increment_relevance(relevance: float, n_agents: int, delta: float = 0.1) -> 
 def relevance_decay(
     nbs: list[NormativeBelief],
     mem: list,
-    rate: float = 0.05,
+    rate: float,
     *,
     tick: int,
 ) -> None:
@@ -143,7 +143,7 @@ class UtilityInputs(Frozen):
         _set(self, "relevance", relevance)
 
 
-def compliance_utility(u: UtilityInputs, *, relevance_weight: float = 1.0) -> tuple[float, float]:
+def compliance_utility(u: UtilityInputs, *, relevance_weight: float) -> tuple[float, float]:
     """Scores for following and for breaking a norm.
 
     comply = (1 - reb) * frac * (s - s_new) + relevance
@@ -176,7 +176,7 @@ def order_applicable_plans(
     nbs: list[NormativeBelief],
     cycle: int,
     threshold: float,
-    choose=None,
+    choose,
 ) -> list:
     """Order applicable plans into the three strata.
 
@@ -187,11 +187,10 @@ def order_applicable_plans(
        inactive or expired norms and the variant not chosen for each norm.
 
     ``choose`` maps an active NormativeBelief to the variant ("comply" /
-    "break") placed in strata 1-2 when both variants are applicable; the
-    default keeps comply.  The result is a permutation of *ap*.
+    "break") placed in strata 1-2 when both variants are applicable.  The
+    result is a permutation of *ap*.
     """
     by_norm: dict[str, NormativeBelief] = {nb.id: nb for nb in nbs}
-    chooser = choose or (lambda nb: COMPLY)
 
     chosen_variant: dict[str, str] = {}
     for plan in ap:
@@ -202,7 +201,7 @@ def order_applicable_plans(
         if nb is not None and active(nb, cycle, threshold):
             variants = {p.variant for p in ap if p.norm_id == nid}
             if len(variants) > 1:
-                chosen_variant[nid] = chooser(nb)
+                chosen_variant[nid] = choose(nb)
             else:
                 chosen_variant[nid] = next(iter(variants))
 
@@ -252,13 +251,14 @@ def comply_to_norm(
     action: Literal,
     nbs: list[NormativeBelief],
     cycle: int,
-) -> tuple[AffectPair, NormativeBelief] | None:
-    """Appraisal produced by executing *action* under the adopted norms.
+) -> tuple[str, AffectPair, NormativeBelief] | None:
+    """The (variant, appraisal pair, norm) that executing *action* is
+    attributed to under the adopted norms.
 
-    If the action belongs to an unexpired obligation's normative plan the
-    pre-appraisal pair is returned (complying); for an unexpired prohibition
-    the opposite emotion (violating).  Expired norms and unattributed actions
-    yield None.  Limit 0 is unbounded.
+    If the action belongs to an unexpired obligation's normative plan it
+    complies (``COMPLY``), with the pre-appraisal pair; for an unexpired
+    prohibition it violates (``BREAK``), with the opposite emotion.  Expired norms and
+    unattributed actions yield None.  Limit 0 is unbounded.
     """
     for nb in nbs:
         if not unexpired(nb, cycle):
@@ -267,6 +267,6 @@ def comply_to_norm(
         if action not in step_lits:
             continue
         if nb.deontic == "obligation":
-            return nb.pre_appraisal, nb
-        return opp_emotion(nb.pre_appraisal), nb
+            return COMPLY, nb.pre_appraisal, nb
+        return BREAK, opp_emotion(nb.pre_appraisal), nb
     return None

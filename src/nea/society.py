@@ -38,6 +38,7 @@ from .cycle import (
     agent_from_program,
     expand,
     tick as agent_tick,
+    upas_summary,
 )
 from .lang import (
     AgentProgram,
@@ -561,7 +562,7 @@ class Society:
                 entries, outbound = agent_tick(agent, env)
                 trace.extend(entries)
                 for message in outbound:
-                    if message.norm is not None:  # only cycle._announce sets it
+                    if message.norm is not None:  # only cycle._appraise sets it
                         variant = announced[aid] = _announced_variant(message)
                         announcements.append((message, variant))
                 self._route(outbound)
@@ -652,7 +653,7 @@ def _quiet_template(agent: str, line: Callable[[TraceEntry], str], split) -> tup
     format; that text is ASCII digits and punctuation, which both formats
     write as it is.
     """
-    probe = QuietTick(0, agent, "0 applied, sigma [0.000,0.000]", None)
+    probe = QuietTick(0, agent, upas_summary(0, (0.0, 0.0)), None)
     pieces, at = [""], 0
     for entry in probe.entries()[:-1]:
         before, zero, after = split(line(entry), "0")

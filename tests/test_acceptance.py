@@ -55,7 +55,7 @@ from nea import builtin_scenario
 
 from conftest import corpus_files, parse_norm
 from test_cycle import fuzz_step_machine
-from test_norms import oracle_order, ordering_universe
+from test_norms import keep_comply, oracle_order, ordering_universe
 
 
 @contextmanager
@@ -79,8 +79,8 @@ def criterion(number: int, label: str, budget: float):
 def test_criterion_1_exact_arithmetic():
     with criterion(1, "exact arithmetic", budget=1.0):
         assert opp_emotion((-0.25, 0.5)) == (0.25, -0.5)
-        assert increment_relevance(50.0, 1) == 50.1
-        assert increment_relevance(0.0, 1) == 1.0
+        assert increment_relevance(50.0, 1, 0.1) == 50.1
+        assert increment_relevance(0.0, 1, 0.1) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_criterion_3_kernels_match_oracles():
             if expected is None:
                 assert got is None, (deontic, limit, action.functor)
             else:
-                assert got is not None and got[0] == expected and got[1] is nb
+                assert got is not None and got[1:] == (expected, nb)
 
         # ordering: exhaustive over all applicable-plan multisets of size <= 5
         pool, nbs, cycle, threshold = ordering_universe()
@@ -244,7 +244,7 @@ def test_criterion_3_kernels_match_oracles():
         for size in range(0, 6):
             for combo in itertools.combinations_with_replacement(pool, size):
                 for ap in (list(combo), list(reversed(combo))):
-                    got = order_applicable_plans(ap, nbs, cycle, threshold)
+                    got = order_applicable_plans(ap, nbs, cycle, threshold, keep_comply)
                     assert got == oracle_order(ap, nbs, cycle, threshold)
                     checked += 1
         assert checked > 1000
@@ -316,14 +316,14 @@ def test_criterion_4_generation_and_decay():
             threshold = rng.uniform(1e-6, rel0)
             nb.relevance = rel0
 
-            before = order_applicable_plans([plain, comply], [nb], 0, threshold)
+            before = order_applicable_plans([plain, comply], [nb], 0, threshold, keep_comply)
             assert before[0] is comply, "active norm claims the front"
 
             ticks = math.ceil(rel0 / rate)
             for t in range(ticks):
                 relevance_decay([nb], [], rate, tick=t)
             assert nb.relevance < threshold
-            after = order_applicable_plans([plain, comply], [nb], 0, threshold)
+            after = order_applicable_plans([plain, comply], [nb], 0, threshold, keep_comply)
             assert after[0] is plain, "faded norm keeps input order"
 
         # affect decay contracts toward the neutral state

@@ -22,11 +22,13 @@ from nea.affect import (
     update_affect,
 )
 from nea.core import (
+    SOURCE_SELF,
     AgentConfig,
     FeedbackRecord,
     MemKind,
     MemoryEvent,
 )
+from nea.cycle import context_holds
 from nea.lang import (
     CopingStrategy,
     Literal,
@@ -278,8 +280,27 @@ def test_detection_flags_only_reaching_plans():
     rebel = parse_plan_text(REBEL_EXIT)
     bs = frozenset({"wearing_mask", "in_classroom"})
     record = masked_campus_record()
-    flagged = detect_social_norm(record, [conformist, rebel], bs)
+    flagged = detect_social_norm(record, [conformist, rebel], bs, (0.5, 0.5))
     assert flagged == [conformist], "the rebel plan removes the mask before campus"
+
+
+@pytest.mark.parametrize("name", ["role", "flag"])
+def test_only_a_role_check_is_not_a_belief(name):
+    """Detection and ``context_holds`` share one role rule: only ``role(r)``
+    checks the agent's roles, and a bare ``role`` is a belief like any
+    other, which the plan's context makes true."""
+    plan = parse_plan_text(f"+!go : {name} <- +x.")
+    record = FeedbackRecord(condition=frozenset({(name, True), ("x", True)}), accumulated=(-0.6, -0.2))
+    assert detect_social_norm(record, [plan], frozenset(), (0.5, 0.5)) == [plan]
+    believer = AgentConfig("a", bs={Literal(name): {SOURCE_SELF}})
+    assert context_holds(believer, plan.context)
+    assert not context_holds(AgentConfig("b", roles=(name,)), plan.context)
+
+    checked = parse_plan_text("+!go : role(prof) <- +x.")
+    record = FeedbackRecord(condition=frozenset({("role(prof)", True), ("x", True)}), accumulated=(-0.6, -0.2))
+    assert detect_social_norm(record, [checked], frozenset(), (0.5, 0.5)) == []
+    assert context_holds(AgentConfig("c", roles=("prof",)), checked.context)
+    assert not context_holds(AgentConfig("d", bs={checked.context[0].literal: {SOURCE_SELF}}), checked.context)
 
 
 def test_revision_reproduces_the_rebel_plan():
@@ -290,7 +311,7 @@ def test_revision_reproduces_the_rebel_plan():
     assert revised == rebel
     assert render_plan(revised) == render_plan(rebel)
     # and the revised plan no longer reaches the punished state
-    assert detect_social_norm(masked_campus_record(), [revised], bs) == []
+    assert detect_social_norm(masked_campus_record(), [revised], bs, (0.5, 0.5)) == []
 
 
 def test_revision_seed_ignores_plan_added_literals():

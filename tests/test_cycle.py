@@ -372,7 +372,7 @@ def test_norm_feedback_reinforces_and_shifts_sigma():
     assert agent.NB[0].relevance == 50.1
     assert agent.Ta.sigma == (0.1, 0.1)
     mem = agent.Mem[-1]
-    assert mem.kind is MemKind.NORM_FEEDBACK and mem.applied and mem.norm_id == nid
+    assert mem.kind is MemKind.NORM_FEEDBACK and mem.norm_id == nid
 
 
 def test_norm_feedback_divides_by_society_size():
@@ -675,13 +675,11 @@ def test_tick_drains_outbound():
 def test_affective_pass_applies_unapplied_memory_once():
     agent = build_agent(PATROL_SOURCE)
     env = make_env()
-    agent.Mem.append(
-        MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.4, 0.2), divisor=2)
-    )
+    agent.Mem.append(MemoryEvent(tick=0, kind=MemKind.SELF_APPRAISAL, pair=(0.2, 0.1)))
     entries = run_affective_cycle(agent, env)
     assert [e.step for e in entries] == ["Appr", "UpAs", "SelCs", "Cope"]
     assert agent.Ta.sigma == (0.2, 0.1)
-    assert agent.Mem[0].applied and agent.mem_cursor == 1
+    assert agent.mem_cursor == 1
     assert agent.ast is AffectiveStepLabel.Appr, "pass rewinds for the next tick"
     # a second pass must not double-apply
     run_affective_cycle(agent, env)
@@ -794,7 +792,7 @@ def _lines(items) -> list[str]:
 
 def _state(agent) -> tuple:
     feedback = {key: (rec.accumulated, rec.count) for key, rec in agent.feedback.items()}
-    return snapshot(agent), [ev.applied for ev in agent.Mem], agent.mem_cursor, feedback
+    return snapshot(agent), agent.mem_cursor, feedback
 
 
 def full_passes(forced) -> None:
@@ -910,7 +908,7 @@ def test_fully_quiet_tick_is_one_record(monkeypatch):
 def test_half_quiet_tick_emits_sixteen_entries(monkeypatch):
     agent = build_agent(PATROL_SOURCE)
     env = make_env(n_agents=1)
-    agent.Mem.append(MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.4, 0.2)))
+    agent.Mem.append(MemoryEvent(tick=0, kind=MemKind.SELF_APPRAISAL, pair=(0.4, 0.2)))
     assert not nea.cycle._quiet(agent, env)  # fresh memory alone: the agent walks
     entries, _ = tick(agent, env)
     assert all(type(e) is TraceEntry for e in entries)
@@ -953,10 +951,9 @@ def test_memory_appended_between_ticks_is_appraised_once():
         return next(e.summary for e in entries if e.step == "Appr")
 
     assert appraisal_summary() == "0/0 appraised"
-    fresh = MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.4, 0.2))
-    agent.Mem.append(fresh)
+    agent.Mem.append(MemoryEvent(tick=0, kind=MemKind.SELF_APPRAISAL, pair=(0.4, 0.2)))
     assert appraisal_summary() == "1/1 appraised"
-    assert fresh.applied and agent.mem_cursor == 1
+    assert agent.mem_cursor == 1
     assert agent.Ta.sigma == (0.4, 0.2)
     assert appraisal_summary() == "0/0 appraised"
     assert agent.Ta.sigma == (0.4, 0.2), "applied once"
@@ -1099,7 +1096,8 @@ def draw_society(data) -> tuple[Society, defaultdict]:
     return Society(config, seed=1), mail
 
 
-@settings(deadline=None)
+# no shrink phase, as in the breach test below
+@settings(deadline=None, phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(data=st.data())
 def test_random_societies_equal_the_full_passes(data):
     """Every agent-tick of a random society (``draw_society``) equals the
@@ -1168,6 +1166,27 @@ def test_breach_in_a_random_society_names_its_step(data):
             with pytest.raises(InterpreterFault, match=reason) as caught:
                 run_society(Society(society.config, seed=1), mail)
         assert (caught.value.step, caught.value.agent_id, caught.value.tick) == (label.value, aid, at)
+
+
+def test_illegal_transition_names_its_step_agent_and_tick(monkeypatch):
+    """A step that moves its agent to a label outside ``EDGES`` (here SelEv
+    to ExecInt) faults there: the ``InterpreterFault`` names that step and
+    agent, and ``Society.run_tick`` adds the tick."""
+    society = Society(ScenarioConfig.load(builtin_scenario("mask")), seed=7)
+    func, successors = nea.cycle._STEPS[StepLabel.SelEv]
+    assert StepLabel.ExecInt not in successors
+
+    def skipping(agent, env):
+        entry = func(agent, env)
+        if (env.tick, agent.id) == (1, "prof_rebel"):
+            agent.s = StepLabel.ExecInt
+        return entry
+
+    monkeypatch.setitem(nea.cycle._STEPS, StepLabel.SelEv, (skipping, successors))
+    society.run_tick(0)
+    with pytest.raises(InterpreterFault, match="illegal transition to ExecInt") as caught:
+        society.run_tick(1)
+    assert (caught.value.step, caught.value.agent_id, caught.value.tick) == ("SelEv", "prof_rebel", 1)
 
 
 MASKED_CAMPUS = frozenset({("wearing_mask", True), ("in_campus", True)})

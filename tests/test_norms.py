@@ -63,12 +63,12 @@ def test_opp_emotion_worked_value():
 
 
 def test_increment_relevance_worked_values():
-    assert increment_relevance(50.0, 1) == 50.1
-    assert increment_relevance(0.0, 1) == 1.0
+    assert increment_relevance(50.0, 1, 0.1) == 50.1
+    assert increment_relevance(0.0, 1, 0.1) == 1.0
 
 
 def test_increment_relevance_divides_by_population():
-    assert increment_relevance(50.0, 2) == 50.0 + 0.1 / 2
+    assert increment_relevance(50.0, 2, 0.1) == 50.0 + 0.1 / 2
     assert increment_relevance(50.0, 1, delta=0.4) == 50.4
 
 
@@ -127,7 +127,8 @@ def test_comply_to_norm_nine_case_table():
         if expected is None:
             assert result is None, (deontic, limit, act.functor)
         else:
-            pair, owner = result
+            variant, pair, owner = result
+            assert variant == (COMPLY if deontic == "obligation" else BREAK), (deontic, limit)
             assert pair == expected, (deontic, limit)
             assert owner is nbs[0]
 
@@ -236,6 +237,11 @@ def test_gen_norm_plans_properties(deontic, pa, limit, with_base):
 # ordering: exhaustive multiset check against an independent oracle
 
 
+def keep_comply(nb) -> str:
+    """The chooser that places the comply variant when both are applicable."""
+    return COMPLY
+
+
 def oracle_order(ap, nbs, cycle, threshold):
     """Stratified sort, written as a single stable keyed sort."""
     by_id = {nb.id: nb for nb in nbs}
@@ -290,7 +296,7 @@ def test_order_applicable_plans_exhaustive_multisets():
     for size in range(0, 6):
         for combo in itertools.combinations_with_replacement(pool, size):
             for ap in (list(combo), list(reversed(combo))):
-                got = order_applicable_plans(ap, nbs, cycle, threshold)
+                got = order_applicable_plans(ap, nbs, cycle, threshold, keep_comply)
                 assert got == oracle_order(ap, nbs, cycle, threshold)
                 assert sorted(map(id, got)) == sorted(map(id, ap)), "permutation"
                 checked += 1
@@ -305,22 +311,22 @@ def test_ordering_worked_examples():
 
     # all active: obligation stratum, then prohibition, then the plain plan
     ap = [plain, by[(nb_pro.id, COMPLY)], by[(nb_ob.id, COMPLY)]]
-    got = order_applicable_plans(ap, nbs, cycle, threshold)
+    got = order_applicable_plans(ap, nbs, cycle, threshold, keep_comply)
     assert got == [by[(nb_ob.id, COMPLY)], by[(nb_pro.id, COMPLY)], plain]
 
     # closer limit first; unbounded obligations sort last in the stratum
     ap = [by[(nb_ob_unbounded.id, COMPLY)], by[(nb_ob.id, COMPLY)]]
-    got = order_applicable_plans(ap, nbs, cycle, threshold)
+    got = order_applicable_plans(ap, nbs, cycle, threshold, keep_comply)
     assert got == [by[(nb_ob.id, COMPLY)], by[(nb_ob_unbounded.id, COMPLY)]]
 
     # below-threshold and expired norms fall to the tail in input order
     ap = [by[(nb_weak.id, COMPLY)], by[(nb_expired.id, COMPLY)], by[(nb_ob.id, COMPLY)]]
-    got = order_applicable_plans(ap, nbs, cycle, threshold)
+    got = order_applicable_plans(ap, nbs, cycle, threshold, keep_comply)
     assert got == [by[(nb_ob.id, COMPLY)], by[(nb_weak.id, COMPLY)], by[(nb_expired.id, COMPLY)]]
 
     # when both variants are applicable only the chosen one is promoted
     ap = [by[(nb_ob.id, BREAK)], by[(nb_ob.id, COMPLY)], plain]
-    got = order_applicable_plans(ap, nbs, cycle, threshold)
+    got = order_applicable_plans(ap, nbs, cycle, threshold, keep_comply)
     assert got == [by[(nb_ob.id, COMPLY)], by[(nb_ob.id, BREAK)], plain]
     got = order_applicable_plans(
         ap, nbs, cycle, threshold, choose=lambda nb: BREAK
@@ -334,7 +340,7 @@ def test_ordering_worked_examples():
 
 def test_compliance_utility_formulas():
     u = UtilityInputs(reb=0.25, frac_affected=0.5, s=0.1, s_new=0.3, relevance=2.0)
-    comply, breach = compliance_utility(u)
+    comply, breach = compliance_utility(u, relevance_weight=1.0)
     assert comply == pytest.approx((1 - 0.25) * 0.5 * (0.1 - 0.3) + 2.0)
     assert breach == pytest.approx(0.25 * (1 - 0.5) * (0.1 + 0.3) - 2.0)
     comply_w, breach_w = compliance_utility(u, relevance_weight=0.5)
@@ -344,8 +350,8 @@ def test_compliance_utility_formulas():
 
 def test_choose_variant_tie_goes_to_comply():
     u = UtilityInputs(reb=0.0, frac_affected=0.0, s=0.0, s_new=0.0, relevance=0.0)
-    assert compliance_utility(u) == (0.0, 0.0)
-    assert choose_variant(*compliance_utility(u)) == COMPLY
+    assert compliance_utility(u, relevance_weight=1.0) == (0.0, 0.0)
+    assert choose_variant(*compliance_utility(u, relevance_weight=1.0)) == COMPLY
 
 
 def test_choose_variant_calibration_window():
@@ -411,13 +417,13 @@ def test_unreinforced_norms_decay_below_any_threshold(rel0, rate, threshold):
     from nea.lang import parse_plan_text
 
     plain = parse_plan_text("+t9 <- hum.")
-    ordered = order_applicable_plans([plans[0], plain], [nb], 0, threshold)
+    ordered = order_applicable_plans([plans[0], plain], [nb], 0, threshold, keep_comply)
     assert ordered == [plans[0], plain], "decayed norm keeps input order in the tail"
     fresh = make_norm(deontic="obligation", relevance=threshold + 1, trigger="t7")
     fresh_plans: list = []
     gen_norm_plans(fresh_plans, fresh)
     ordered = order_applicable_plans(
-        [plans[0], fresh_plans[0]], [nb, fresh], 0, threshold
+        [plans[0], fresh_plans[0]], [nb, fresh], 0, threshold, keep_comply
     )
     assert ordered == [fresh_plans[0], plans[0]], "active norms overtake decayed ones"
 

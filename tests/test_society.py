@@ -604,7 +604,7 @@ def test_direct_message_reaches_one_recipient():
 
 
 # a program cannot forge a norm announcement: only the norm annotation that
-# cycle._announce sets makes one, so the channel's name is unknown mail
+# cycle._appraise sets makes one, so the channel's name is unknown mail
 @pytest.mark.parametrize("content", ["hello", 'norm_result("abc","comply")'], ids=["plain", "norm_result"])
 @pytest.mark.parametrize("recipient", ["ghost", OBSERVER_CHANNEL])
 def test_unknown_recipient_is_an_interpreter_fault(recipient, content):
@@ -735,7 +735,6 @@ def test_authority_answers_announcements():
     assert rebel_replies, "the rebel's violation draws an authority reply"
     assert rebel_replies[0].source == "rectorate"
     assert rebel_replies[0].pair == (-0.6, -0.2)
-    assert rebel_replies[0].divisor == 5
 
     conf_replies = [m for m in conformist.Mem if m.kind is MemKind.NORM_FEEDBACK]
     assert conf_replies, "the conformist's compliance draws an authority reply"
