@@ -1,5 +1,5 @@
-"""Affect engine: appraisal, affective-state updates and decay, coping,
-belief synchronisation, and social-feedback accumulation with plan revision.
+"""Affect engine: affective-state updates and decay, coping, belief
+synchronisation, and social-feedback accumulation with plan revision.
 The feedback wire format is read and written by ``nea.lang``.
 """
 
@@ -8,12 +8,10 @@ from __future__ import annotations
 from .core import (
     AffectPair,
     AgentConfig,
-    AppraisalVariables,
     FeedbackRecord,
     Intention,
     MemKind,
     MemoryEvent,
-    SELF_CAUSED,
     UbEntry,
     UbKind,
     clamp_pair,
@@ -33,27 +31,7 @@ from .lang import (
 from .norms import BREAK, COMPLY
 
 # ----------------------------------------------------------------------
-# appraisal and affective state
-
-
-def appraise(event: MemoryEvent) -> AppraisalVariables | None:
-    """Appraisal variables for a memory event; None for a zero pair.
-
-    Desirability maps the pleasure component into [0,1]; a self-caused event
-    attributes causality to the agent.  Likelihood/controllability default to
-    certainty for realized events, expectedness to 0 (the event already
-    surprised the agent into memory).
-    """
-    pleasure, _arousal = event.pair
-    if event.pair == (0.0, 0.0):
-        return None
-    return AppraisalVariables(
-        desirability=(pleasure + 1.0) / 2.0,
-        likelihood=1.0,
-        expectedness=0.0,
-        controllability=1.0,
-        causal_attribution=1 if event.kind in SELF_CAUSED else 0,
-    )
+# affective state
 
 
 def update_affect(sigma: AffectPair, response: AffectPair, n_agents: int) -> AffectPair:

@@ -1,19 +1,25 @@
 """Core state types for normative-emotional agents.
 
-An agent configuration is the tuple <ag, C, M, T, Mem, Ta, s, ast>:
+The paper's agent configuration is the tuple <ag, C, M, T, Mem, Ta, s, ast>.
+The code keeps the parts a rule reads:
 
 * ag — beliefs bs (each believed literal mapped to the non-empty set of
-  sources that believe it), plan library ps, concerns cc, personality P,
-  normative beliefs NB;
+  sources that believe it), plan library ps, personality P, normative
+  beliefs NB;
 * C — circumstance: intentions I (each one plan instance and the body
   steps it has still to run), events E, executed actions A;
 * M — mailboxes: In, Out;
 * T — temporary info of the current cycle: relevant plans R, applicable
   plans Ap, selected intention iota, selected event epsilon, selected plan rho;
 * Mem — affectively relevant event memory;
-* Ta — affective temporaries: belief-update buffer Ub, appraisal variables Av,
-  selected coping strategies Cs, affective state sigma;
-* s — current normative-cycle step label; ast — current affective-cycle step.
+* Ta — affective temporaries: belief-update buffer Ub, affective state sigma;
+* s — current normative-cycle step label.
+
+It leaves out the appraisal variables Av, the selected coping strategies Cs,
+the affective step label ast and the concerns cc, since no rule reads them:
+UpAs folds the memory pairs directly, SelCs hands its selection straight to
+Cope, the affective pass always runs its four steps in one call, and the
+concerns stay on the parsed ``AgentProgram``.
 
 Everything here is plain data; the step functions and agent construction
 live in norms/affect/cycle.
@@ -54,13 +60,6 @@ class StepLabel(Enum):
     ExecInt = "ExecInt"
     ClrInt = "ClrInt"
     AffModB = "AffModB"
-
-
-class AffectiveStepLabel(Enum):
-    Appr = "Appr"
-    UpAs = "UpAs"
-    SelCs = "SelCs"
-    Cope = "Cope"
 
 
 #: Step label of the temporal-dynamics cycle (affect and norm-relevance decay).
@@ -196,27 +195,11 @@ class UbEntry(Record):
         self.pair, self.norm_id, self.variant = pair, norm_id, variant
 
 
-class AppraisalVariables(Record):
-    __slots__ = _fields = (
-        "desirability", "likelihood", "expectedness", "controllability", "causal_attribution"
-    )
-
-    def __init__(
-        self, desirability: float = 0.0, likelihood: float = 1.0, expectedness: float = 0.0,
-        controllability: float = 1.0, causal_attribution: int = 0,
-    ) -> None:
-        self.desirability, self.likelihood, self.expectedness = desirability, likelihood, expectedness
-        self.controllability = controllability
-        self.causal_attribution = causal_attribution  # 1 = self-caused
-
-
 class AffectiveTemp(Record):
-    __slots__ = _fields = ("Ub", "Av", "Cs", "sigma")
+    __slots__ = _fields = ("Ub", "sigma")
 
     def __init__(self) -> None:
         self.Ub: list = []  # list[UbEntry]
-        self.Av: AppraisalVariables | None = None
-        self.Cs: list = []  # selected coping strategies
         self.sigma: AffectPair = (0.0, 0.0)
 
 
@@ -272,25 +255,25 @@ class AgentConfig(Record):
     """Full runtime configuration of one agent."""
 
     _fields = (  # compared and shown
-        "id", "bs", "ps", "cc", "P", "NB", "C", "M", "T", "Mem", "Ta",
-        "s", "ast", "roles", "cycle", "feedback", "_next_iid",
+        "id", "bs", "ps", "P", "NB", "C", "M", "T", "Mem", "Ta",
+        "s", "roles", "cycle", "feedback", "_next_iid",
     )
     __slots__ = _fields + ("mem_cursor", "plan_version", "_texts", "_text_set")
 
     def __init__(
-        self, id: str, bs: dict | None = None, ps: list | None = None, cc: tuple = (),
+        self, id: str, bs: dict | None = None, ps: list | None = None,
         P: PersonalityDecl | None = None, roles: tuple = (),
     ) -> None:
-        """The declared parts; the runtime state starts empty (s=Perceive,
-        ast=Appr, sigma=(0,0))."""
-        self.id, self.cc, self.roles = id, cc, roles
+        """The declared parts a rule reads; the runtime state starts empty
+        (s=Perceive, sigma=(0,0))."""
+        self.id, self.roles = id, roles
         self.bs = {} if bs is None else bs  # Literal -> set of sources
         self.ps = [] if ps is None else ps  # list[PlanDef]
         self.P = PersonalityDecl() if P is None else P
         self.NB: list[NormativeBelief] = []
         self.C, self.M, self.T, self.Ta = Circumstance(), Mailboxes(), TemporaryInfo(), AffectiveTemp()
         self.Mem: list[MemoryEvent] = []
-        self.s, self.ast = StepLabel.Perceive, AffectiveStepLabel.Appr
+        self.s = StepLabel.Perceive
         self.cycle = 0  # completed reasoning cycles (ticks)
         self.feedback: dict = {}  # condition -> FeedbackRecord
         self._next_iid = 0
@@ -403,7 +386,7 @@ def _mem_json(ev: MemoryEvent) -> dict:
 
 
 def snapshot(agent: AgentConfig) -> dict:
-    """Structured snapshot of the full configuration tuple for trace dumps;
+    """Structured snapshot of the configuration tuple, as the code keeps it;
     each ``C.I`` entry is ``{"iid", "plan", "remaining"}``, the plan
     rendered and the count of its body steps still to run."""
     pers = agent.P
@@ -417,7 +400,6 @@ def snapshot(agent: AgentConfig) -> dict:
                 )
             ],
             "ps": [render_plan(p) for p in agent.ps],
-            "cc": [render_literal(c) for c in agent.cc],
             "P": {
                 "tr": list(pers.traits),
                 "rl": pers.rationality,
@@ -445,19 +427,8 @@ def snapshot(agent: AgentConfig) -> dict:
         "Mem": [_mem_json(ev) for ev in agent.Mem],
         "Ta": {
             "Ub": len(agent.Ta.Ub),
-            "Av": None
-            if agent.Ta.Av is None
-            else {
-                "desirability": agent.Ta.Av.desirability,
-                "likelihood": agent.Ta.Av.likelihood,
-                "expectedness": agent.Ta.Av.expectedness,
-                "controllability": agent.Ta.Av.controllability,
-                "causal_attribution": agent.Ta.Av.causal_attribution,
-            },
-            "Cs": len(agent.Ta.Cs),
             "σ": list(agent.Ta.sigma),
         },
         "s": agent.s.value,
-        "ast": agent.ast.value,
         "cycle": agent.cycle,
     }

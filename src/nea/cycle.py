@@ -39,14 +39,14 @@ Most agents of a society have nothing to do on most ticks.  An agent is
 entry lies past ``mem_cursor``, this tick's percepts equal its
 percept-sourced beliefs, no coping strategy matches sigma and every
 feedback record is settled.  Its three passes would change nothing but
-``T`` (which Perceive resets), ``Ta.Cs`` (emptied by SelCs), ``ast`` and the
-decay, and would emit the fifteen entries of ``_QUIET_ROWS`` (nine of them
-``idle``; only the UpAs sigma text varies), then the decay entry.  ``tick``
-does just that and returns the agent-tick as one record,
-``QuietTick(tick, agent, upas, decay)``: a trace writer renders it from a
-template it builds on the agent's first quiet tick and keeps for the run
-(``society.write_trace_text``), and ``QuietTick.entries`` (or ``expand``
-over a list of entries and records) gives back the sixteen entries.  The
+``T`` (which Perceive resets) and the decay, and would emit the fifteen
+entries of ``_QUIET_ROWS`` (nine of them ``idle``; only the UpAs sigma text
+varies), then the decay entry.  ``tick`` does just that and returns the
+agent-tick as one record, ``QuietTick(tick, agent, upas, decay)``: a trace
+writer renders it from a template it builds on the agent's first quiet tick
+and keeps for the run (``society.write_trace_text``), and
+``QuietTick.entries`` (or ``expand`` over a list of entries and records)
+gives back the sixteen entries.  The
 invariant checks read sigma, norm relevance, plan norm ids, ``T.R``/``T.Ap``,
 ``M.In`` and ``Mem``, none of which an idle step changes, so the one
 ``check_invariants`` after the reset (named ``Perceive``, as the walk's
@@ -60,7 +60,6 @@ import itertools
 
 from .affect import (
     affect_decay,
-    appraise,
     belief_event,
     believed_condition,
     cope,
@@ -74,7 +73,6 @@ from .affect import (
     update_affect,
 )
 from .core import (
-    AffectiveStepLabel,
     AffectPair,
     AgentConfig,
     DECAY_STEP,
@@ -146,14 +144,6 @@ EDGES: dict[StepLabel, frozenset[StepLabel]] = {
     StepLabel.ClrInt: frozenset({StepLabel.AffModB}),
     StepLabel.AffModB: frozenset({StepLabel.Perceive}),
 }
-
-#: Execution order of the affective pass.
-AST_ORDER: tuple[AffectiveStepLabel, ...] = (
-    AffectiveStepLabel.Appr,
-    AffectiveStepLabel.UpAs,
-    AffectiveStepLabel.SelCs,
-    AffectiveStepLabel.Cope,
-)
 
 
 class InterpreterFault(RuntimeError):
@@ -255,14 +245,14 @@ def _adopt_literal(agent: AgentConfig, env: EnvironmentView, lit: Literal, step:
 
 
 def agent_from_program(agent_id: str, program: AgentProgram, *, roles: tuple[str, ...] = ()) -> AgentConfig:
-    """Construct the initial configuration: s=Perceive, ast=Appr, sigma=(0,0),
-    empty circumstance and memory; beliefs are self-sourced.  The ``norms__``
-    entries are adopted in order before tick 0, with no belief or trace entry."""
+    """Construct the initial configuration: s=Perceive, sigma=(0,0), empty
+    circumstance and memory; beliefs are self-sourced.  The ``norms__``
+    entries are adopted in order before tick 0, with no belief or trace
+    entry.  The concerns stay on *program*: no rule reads them."""
     agent = AgentConfig(
         id=agent_id,
         bs={lit: {SOURCE_SELF} for lit in program.beliefs},
         ps=list(program.plans),
-        cc=program.concerns,
         P=program.personality or PersonalityDecl(),
         roles=tuple(dict.fromkeys((*program.roles, *roles))),
     )
@@ -655,24 +645,20 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
 
     ``Mem`` is append-only and nothing appends to it during this pass, so
     the entries not yet appraised are those from ``agent.mem_cursor`` on.
+    The four steps run in this one call, so the agent keeps no affective
+    step label.  Appr counts the entries with a non-zero pair (UpAs folds
+    the pairs themselves); SelCs hands its selection to Cope.
     """
     entries: list[TraceEntry] = []
     batch = agent.Mem[agent.mem_cursor:]
     agent.mem_cursor = len(agent.Mem)
 
-    # Appr: derive appraisal variables from fresh memory.
-    agent.ast = AffectiveStepLabel.Appr
-    appraised_n = 0
-    for ev in batch:
-        av = appraise(ev)
-        if av is not None:
-            agent.Ta.Av = av
-            appraised_n += 1
+    # Appr: a fresh entry with a non-zero pair is appraised.
+    appraised_n = sum(ev.pair != (0.0, 0.0) for ev in batch)
     entries.append(_entry(agent, env, "Appr", f"{appraised_n}/{len(batch)} appraised"))
 
     # UpAs: fold the agent's own appraisals into the affective state (a
     # societal response shifted it when ProcMsg read it).
-    agent.ast = AffectiveStepLabel.UpAs
     applied_n = 0
     for ev in batch:
         if ev.kind in SELF_CAUSED:
@@ -683,7 +669,6 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
     # SelCs: revise plans punished by accumulated social feedback (a settled
     # record is skipped: detection would flag nothing again), then pick the
     # coping strategies matching the current affective state.
-    agent.ast = AffectiveStepLabel.SelCs
     revised: list[str] = []
     texts = agent.belief_text_set() if agent.feedback else frozenset()
     for record in agent.feedback.values():
@@ -700,18 +685,15 @@ def run_affective_cycle(agent: AgentConfig, env: EnvironmentView) -> list[TraceE
             revised.append(render_plan(replacement))
             changed = True
         record.settled = None if changed else stamp
-    agent.Ta.Cs = select_coping(agent.P.coping, agent.Ta.sigma)
-    summary = f"{len(agent.Ta.Cs)} coping"
+    selected = select_coping(agent.P.coping, agent.Ta.sigma)
+    summary = f"{len(selected)} coping"
     if revised:
         summary += f", revised {len(revised)} plan(s)"
     entries.append(_entry(agent, env, "SelCs", summary, {"revised": revised}))
 
     # Cope: queue one intention per selected coping action.
-    agent.ast = AffectiveStepLabel.Cope
-    added = cope(agent.Ta.Cs, agent)
+    added = cope(selected, agent)
     entries.append(_entry(agent, env, "Cope", f"{len(added)} coping intentions"))
-
-    agent.ast = AffectiveStepLabel.Appr
     return entries
 
 
@@ -801,8 +783,6 @@ def tick(agent: AgentConfig, env: EnvironmentView) -> tuple[list[TraceEntry | Qu
     if _quiet(agent, env):  # what the three passes do to a quiet agent
         agent.T.reset()
         check_invariants(agent, StepLabel.Perceive)
-        agent.Ta.Cs = []
-        agent.ast = AffectiveStepLabel.Appr
         upas = upas_summary(0, agent.Ta.sigma)
         items: list = [QuietTick(env.tick, agent.id, upas, run_decay(agent, env))]
     else:

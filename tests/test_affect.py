@@ -1,6 +1,6 @@
 """Affect engine: state updates against an independent oracle, decay
-contraction, appraisal, the feedback wire format, accumulation, and
-emergent-norm detection with plan revision."""
+contraction, the feedback wire format, accumulation, and emergent-norm
+detection with plan revision."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from nea.affect import (
     accumulate_feedback,
     affect_decay,
-    appraise,
     cope,
     detect_social_norm,
     revise_plan,
@@ -25,8 +24,6 @@ from nea.core import (
     SOURCE_SELF,
     AgentConfig,
     FeedbackRecord,
-    MemKind,
-    MemoryEvent,
 )
 from nea.cycle import context_holds
 from nea.lang import (
@@ -118,30 +115,6 @@ def test_affect_decay_contracts(sigma, rate):
 def test_affect_decay_rate_examples():
     assert affect_decay((0.5, -0.4), rate=0.05) == (0.5 * 0.95, -0.4 * 0.95)
     assert affect_decay((0.5, -0.4), rate=1.0) == (0.0, -0.0)
-
-
-# ----------------------------------------------------------------------
-# appraisal
-
-
-def test_appraise_zero_pair_is_silent():
-    ev = MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.0, 0.0))
-    assert appraise(ev) is None
-
-
-def test_appraise_maps_pleasure_to_desirability():
-    ev = MemoryEvent(tick=0, kind=MemKind.NORM_FEEDBACK, pair=(0.6, 0.2))
-    av = appraise(ev)
-    assert av.desirability == pytest.approx(0.8)
-    assert av.likelihood == 1.0
-    assert av.expectedness == 0.0
-    assert av.causal_attribution == 0, "society-caused"
-
-
-def test_appraise_attributes_own_acts():
-    for kind in (MemKind.OWN_COMPLIANCE, MemKind.OWN_VIOLATION, MemKind.SELF_APPRAISAL):
-        ev = MemoryEvent(tick=0, kind=kind, pair=(-0.4, 0.1))
-        assert appraise(ev).causal_attribution == 1
 
 
 # ----------------------------------------------------------------------

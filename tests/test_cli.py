@@ -23,7 +23,7 @@ import nea.society
 from nea import builtin_scenario
 from nea.cli import main
 from nea.core import DECAY_STEP, StepLabel
-from nea.cycle import AST_ORDER, EDGES, InterpreterFault, QuietTick, expand
+from nea.cycle import EDGES, InterpreterFault, QuietTick, expand
 from nea.society import METRICS_COLUMNS, PARAMS, ScenarioConfig, Society
 
 from conftest import CORPUS_DIR
@@ -338,7 +338,7 @@ def assert_outputs_agree(text: str, structured: str, metrics: str) -> int:
         walk = steps[: steps.index(StepLabel.AffModB.value) + 1]
         assert walk[0] == StepLabel.Perceive.value
         assert all(StepLabel(b) in EDGES[StepLabel(a)] for a, b in zip(walk, walk[1:]))
-        assert steps[len(walk) :] == [*(label.value for label in AST_ORDER), DECAY_STEP]
+        assert steps[len(walk) :] == ["Appr", "UpAs", "SelCs", "Cope", DECAY_STEP]
         decay = group[-1]["payload"]
         assert (row["pleasure"], row["arousal"]) == tuple(f"{v:.6f}" for v in decay["sigma"])
         if row["norm_id"]:

@@ -17,7 +17,6 @@ from nea.core import (
     SOURCE_PERCEPT,
     SOURCE_SELF,
     StepLabel,
-    AffectiveStepLabel,
     clamp_pair,
     norm_id,
     scalar_mood,
@@ -32,7 +31,6 @@ from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent, parse_norm
 def test_initial_configuration():
     agent = build_agent(PATROL_SOURCE)
     assert agent.s is StepLabel.Perceive
-    assert agent.ast is AffectiveStepLabel.Appr
     assert agent.Ta.sigma == (0.0, 0.0)
     assert agent.cycle == 0
     assert agent.Mem == [] and agent.NB == []
@@ -167,13 +165,13 @@ def test_snapshot_covers_configuration_tuple():
     agent.NB.append(NormativeBelief.from_decl(decl, norm_id(decl)))
     snap = snapshot(agent)
     assert snap["id"] == "a1"
-    assert set(snap) == {"id", "ag", "C", "M", "T", "Mem", "Ta", "s", "ast", "cycle"}
-    assert set(snap["ag"]) == {"bs", "ps", "cc", "P", "NB"}
+    assert set(snap) == {"id", "ag", "C", "M", "T", "Mem", "Ta", "s", "cycle"}
+    assert set(snap["ag"]) == {"bs", "ps", "P", "NB"}
+    assert set(snap["Ta"]) == {"Ub", "σ"}
     assert snap["ag"]["P"]["reb"] == 0.3
     assert snap["ag"]["NB"][0]["do"] == "obligation"
     assert snap["ag"]["NB"][0]["rel"] == 50.0
     assert snap["s"] == "Perceive"
-    assert snap["ast"] == "Appr"
     assert snap["Ta"]["σ"] == [0.0, 0.0]
 
     text = json.dumps(snapshot(agent), ensure_ascii=False, sort_keys=True)

@@ -18,7 +18,6 @@ import nea.society
 from nea import builtin_scenario
 from nea.affect import accumulate_feedback, queue_belief_add
 from nea.core import (
-    AffectiveStepLabel,
     MemKind,
     MemoryEvent,
     Message,
@@ -29,7 +28,6 @@ from nea.core import (
     snapshot,
 )
 from nea.cycle import (
-    AST_ORDER,
     EDGES,
     EnvironmentView,
     InterpreterFault,
@@ -119,8 +117,13 @@ def test_edges_only_jump_forward_except_wraparound():
                 assert rank[dst] > rank[src], f"{src} -> {dst} goes backward"
 
 
+#: The steps of the affective pass, in order.
+AFFECTIVE_STEPS = ["Appr", "UpAs", "SelCs", "Cope"]
+
+
 def test_affective_order():
-    assert [label.value for label in AST_ORDER] == ["Appr", "UpAs", "SelCs", "Cope"]
+    entries = run_affective_cycle(build_agent(PATROL_SOURCE), make_env())
+    assert [e.step for e in entries] == AFFECTIVE_STEPS
 
 
 def test_tick_rejects_non_perceive_start():
@@ -677,13 +680,20 @@ def test_affective_pass_applies_unapplied_memory_once():
     env = make_env()
     agent.Mem.append(MemoryEvent(tick=0, kind=MemKind.SELF_APPRAISAL, pair=(0.2, 0.1)))
     entries = run_affective_cycle(agent, env)
-    assert [e.step for e in entries] == ["Appr", "UpAs", "SelCs", "Cope"]
+    assert [e.step for e in entries] == AFFECTIVE_STEPS
     assert agent.Ta.sigma == (0.2, 0.1)
     assert agent.mem_cursor == 1
-    assert agent.ast is AffectiveStepLabel.Appr, "pass rewinds for the next tick"
     # a second pass must not double-apply
     run_affective_cycle(agent, env)
     assert agent.Ta.sigma == (0.2, 0.1)
+
+
+def test_tick_appraises_only_fresh_entries_with_a_nonzero_pair():
+    agent = build_agent(PATROL_SOURCE)
+    agent.Mem.append(MemoryEvent(tick=0, kind=MemKind.SOCIAL_FEEDBACK, pair=(0.0, 0.0)))
+    agent.Mem.append(MemoryEvent(tick=0, kind=MemKind.SELF_APPRAISAL, pair=(0.2, 0.1)))
+    entries, _ = tick(agent, make_env())
+    assert [e.summary for e in entries if e.step == "Appr"] == ["1/2 appraised"]
 
 
 def test_affective_pass_revises_punished_plans():
@@ -884,14 +894,13 @@ def test_quiet_tick_emits_fresh_entries_without_stepping(monkeypatch):
 
 
 #: Every step of an agent-tick, in order, when the walk takes no shortcut.
-TICK_STEPS = [label.value for label in StepLabel] + [label.value for label in AST_ORDER] + ["AsNrDecay"]
+TICK_STEPS = [label.value for label in StepLabel] + AFFECTIVE_STEPS + ["AsNrDecay"]
 
 
 def test_fully_quiet_tick_is_one_record(monkeypatch):
     agent = build_agent(PATROL_SOURCE)
     env = make_env(tick=3)
     agent.Ta.sigma = (-0.25, 0.5)
-    agent.Ta.Cs, agent.ast = ["stale"], AffectiveStepLabel.Cope  # as the full pass would, the tick resets both
     monkeypatch.setattr(nea.cycle, "step", None)  # a fully quiet tick calls neither
     monkeypatch.setattr(nea.cycle, "run_affective_cycle", None)
     items, outbound = tick(agent, env)
@@ -901,8 +910,7 @@ def test_fully_quiet_tick_is_one_record(monkeypatch):
     assert record.decay.step == "AsNrDecay" and record.decay.payload["sigma"] == list(agent.Ta.sigma)
     assert [e.step for e in record.entries()] == TICK_STEPS
     assert record.entries()[-1] is record.decay
-    assert outbound == [] and agent.cycle == 1 and agent.Ta.Cs == []
-    assert agent.s is StepLabel.Perceive and agent.ast is AffectiveStepLabel.Appr
+    assert outbound == [] and agent.cycle == 1 and agent.s is StepLabel.Perceive
 
 
 def test_half_quiet_tick_emits_sixteen_entries(monkeypatch):
@@ -1225,7 +1233,6 @@ def test_settled_agent_takes_the_quiet_affective_pass(monkeypatch):
     agent, env, _ = settled_patrol()
     calls = detections(monkeypatch)
     agent.Ta.sigma = (0.25, -0.5)
-    agent.Ta.Cs = ["stale"]
     first = run_affective_cycle(agent, env)
     second = run_affective_cycle(agent, env)
     assert calls == []
@@ -1235,7 +1242,6 @@ def test_settled_agent_takes_the_quiet_affective_pass(monkeypatch):
         ("SelCs", "0 coping", {"revised": []}),
         ("Cope", "0 coping intentions", {}),
     ]
-    assert agent.Ta.Cs == [] and agent.ast is AffectiveStepLabel.Appr
     assert all(a.payload is not b.payload for a, b in zip(first, second))
     assert first[2].payload["revised"] is not second[2].payload["revised"]
 
