@@ -19,7 +19,9 @@ It leaves out the appraisal variables Av, the selected coping strategies Cs,
 the affective step label ast and the concerns cc, since no rule reads them:
 UpAs folds the memory pairs directly, SelCs hands its selection straight to
 Cope, the affective pass always runs its four steps in one call, and the
-concerns stay on the parsed ``AgentProgram``.
+concerns stay on the parsed ``AgentProgram``.  Like the paper's tuple it
+holds no cycle counter: the run tick is the agent's only clock, and the
+step label s alone drives the reasoning cycle.
 
 Everything here is plain data; the step functions and agent construction
 live in norms/affect/cycle.
@@ -252,11 +254,12 @@ class FeedbackRecord(Record):
 
 
 class AgentConfig(Record):
-    """Full runtime configuration of one agent."""
+    """Full runtime configuration of one agent.  It keeps no clock of its
+    own: the run tick (``cycle.EnvironmentView.tick``) is the only one."""
 
     _fields = (  # compared and shown
         "id", "bs", "ps", "P", "NB", "C", "M", "T", "Mem", "Ta",
-        "s", "roles", "cycle", "feedback", "_next_iid",
+        "s", "roles", "feedback", "_next_iid",
     )
     __slots__ = _fields + ("mem_cursor", "plan_version", "_texts", "_text_set")
 
@@ -274,7 +277,6 @@ class AgentConfig(Record):
         self.C, self.M, self.T, self.Ta = Circumstance(), Mailboxes(), TemporaryInfo(), AffectiveTemp()
         self.Mem: list[MemoryEvent] = []
         self.s = StepLabel.Perceive
-        self.cycle = 0  # completed reasoning cycles (ticks)
         self.feedback: dict = {}  # condition -> FeedbackRecord
         self._next_iid = 0
         # index of the first Mem entry the affective pass has not yet seen
@@ -386,7 +388,8 @@ def _mem_json(ev: MemoryEvent) -> dict:
 
 
 def snapshot(agent: AgentConfig) -> dict:
-    """Structured snapshot of the configuration tuple, as the code keeps it;
+    """Structured snapshot of the configuration tuple, as the code keeps it:
+    one key per kept part and ``id``, and no tick (the agent keeps no clock);
     each ``C.I`` entry is ``{"iid", "plan", "remaining"}``, the plan
     rendered and the count of its body steps still to run."""
     pers = agent.P
@@ -430,5 +433,4 @@ def snapshot(agent: AgentConfig) -> dict:
             "σ": list(agent.Ta.sigma),
         },
         "s": agent.s.value,
-        "cycle": agent.cycle,
     }

@@ -1,8 +1,9 @@
 """The interpreter: one reasoning tick = normative pass + affective pass + decay.
 
-The normative pass is a step machine over the labels in ``StepLabel``.  Each
-call to ``step`` executes the label the agent is currently at and moves it to
-a successor allowed by ``EDGES``:
+The normative pass is a step machine over the labels in ``StepLabel``,
+written once in ``_STEPS`` (``EDGES`` is its successor sets).  Each call to
+``step`` executes the label the agent is currently at, moves it to an
+allowed successor and returns the step's trace entry, named by that label:
 
 * the default path visits every label once, in declaration order;
 * ``ProcMsg`` jumps straight to ``AffModB`` after consuming a norm-feedback
@@ -16,11 +17,13 @@ the agent's own appraisals (``core.SELF_CAUSED``) into the affective state,
 revises plans punished by social feedback, and queues coping actions; a
 societal response shifted that state when ProcMsg read it.  ``run_decay``
 then pulls the affective state toward neutral and erodes the relevance of
-unreinforced norms.  ``tick`` strings the three passes together.  The payload of a
-step's ``TraceEntry`` appears only in ``trace.jsonl``.  While
+unreinforced norms.  ``tick`` strings the three passes together.  The
+payload of a ``TraceEntry`` appears only in ``trace.jsonl``.  While
 ``EnvironmentView.payloads`` is off, as on a text run, Perceive skips its
-sorted literal lists and ``run_decay`` its payload, and ``_entry`` drops
-the small payloads the other steps build.
+sorted literal lists and ``run_decay`` its payload, and ``step`` (for the
+normative rows) and ``_entry`` (for the affective ones) drop the small
+payloads the other steps build.  The run's ``EnvironmentView.tick`` is the
+only clock: norm expiry reads it.
 
 A feedback record is *settled* once ``detect_social_norm`` flagged no plan
 for it that revision would change, and nothing that call read has changed
@@ -55,8 +58,6 @@ agent walks the step machine and runs the full affective pass.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .affect import (
     affect_decay,
@@ -130,22 +131,6 @@ from .record import Record
 #: mail to an unknown recipient.
 OBSERVER_CHANNEL = "__observers__"
 
-#: Allowed successor labels of the normative step machine.
-EDGES: dict[StepLabel, frozenset[StepLabel]] = {
-    StepLabel.Perceive: frozenset({StepLabel.ProcMsg}),
-    StepLabel.ProcMsg: frozenset({StepLabel.SelEv, StepLabel.AffModB}),
-    StepLabel.SelEv: frozenset({StepLabel.RelPl}),
-    StepLabel.RelPl: frozenset({StepLabel.ApplPl}),
-    StepLabel.ApplPl: frozenset({StepLabel.SelAppl}),
-    StepLabel.SelAppl: frozenset({StepLabel.AddIM}),
-    StepLabel.AddIM: frozenset({StepLabel.SelInt}),
-    StepLabel.SelInt: frozenset({StepLabel.ExecInt}),
-    StepLabel.ExecInt: frozenset({StepLabel.ClrInt, StepLabel.AffModB}),
-    StepLabel.ClrInt: frozenset({StepLabel.AffModB}),
-    StepLabel.AffModB: frozenset({StepLabel.Perceive}),
-}
-
-
 class InterpreterFault(RuntimeError):
     """An interpreter invariant was violated; carries agent id and step, and
     the tick once the society harness has seen the fault."""
@@ -209,11 +194,13 @@ class TraceEntry(Record):
 
 
 def _entry(agent: AgentConfig, env: EnvironmentView, name: str, summary: str, payload: dict | None = None) -> TraceEntry:
+    """An affective-pass or decay row; ``step`` builds the normative ones."""
     return TraceEntry(env.tick, agent.id, name, summary, payload if env.payloads else None)
 
 
 # ----------------------------------------------------------------------
-# normative pass: one function per step label
+# normative pass: one function per step label, returning the step's
+# (summary, payload)
 
 
 def _adopt_norm(agent: AgentConfig, decl: NormDecl, nid: str) -> str | None:
@@ -263,7 +250,7 @@ def agent_from_program(agent_id: str, program: AgentProgram, *, roles: tuple[str
     return agent
 
 
-def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     agent.T.reset()
     new_p, rem_p = eval_percepts(env.percepts, agent.percept_literals())
     adopted: list[str] = []
@@ -278,9 +265,9 @@ def _step_perceive(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     if adopted:
         summary += f", adopted {','.join(adopted)}"
     if not env.payloads:
-        return _entry(agent, env, "Perceive", summary)
+        return summary, None
     new, removed = sorted(map(render_literal, new_p)), sorted(map(render_literal, rem_p))
-    return _entry(agent, env, "Perceive", summary, {"new": new, "removed": removed, "adopted": adopted})
+    return summary, {"new": new, "removed": removed, "adopted": adopted}
 
 
 def _respond(agent: AgentConfig, env: EnvironmentView, kind: MemKind, message: Message, pair: AffectPair) -> None:
@@ -350,34 +337,34 @@ def _content_literal(agent: AgentConfig, content: str) -> Literal:
         raise InterpreterFault(agent.id, "ProcMsg", f"bad message content {content!r}: {exc}") from exc
 
 
-def _step_procmsg(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_procmsg(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     if not agent.M.In:
         agent.s = StepLabel.SelEv
-        return _entry(agent, env, "ProcMsg", "idle")
+        return "idle", None
     message = agent.M.In.pop(0)
     summary, nxt, payload = process_message(agent, message, env)
     agent.s = nxt
     payload["mid"] = message.mid
-    return _entry(agent, env, "ProcMsg", summary, payload)
+    return summary, payload
 
 
-def _step_selev(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_selev(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     agent.s = StepLabel.RelPl
     if not agent.C.E:
-        return _entry(agent, env, "SelEv", "idle")
+        return "idle", None
     agent.T.epsilon = agent.C.E.pop(0)
-    return _entry(agent, env, "SelEv", render_trigger(agent.T.epsilon))
+    return render_trigger(agent.T.epsilon), None
 
 
-def _step_relpl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_relpl(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     agent.s = StepLabel.ApplPl
     ev = agent.T.epsilon
     if ev is None:
-        return _entry(agent, env, "RelPl", "idle")
+        return "idle", None
     agent.T.R = [p for p in agent.ps if p.trigger == ev]
     if not agent.T.R:
-        return _entry(agent, env, "RelPl", "no relevant plans; event dropped")
-    return _entry(agent, env, "RelPl", f"{len(agent.T.R)} relevant")
+        return "no relevant plans; event dropped", None
+    return f"{len(agent.T.R)} relevant", None
 
 
 def context_holds(agent: AgentConfig, context: tuple) -> bool:
@@ -392,18 +379,18 @@ def context_holds(agent: AgentConfig, context: tuple) -> bool:
     return True
 
 
-def _step_applpl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_applpl(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     agent.s = StepLabel.SelAppl
     agent.T.Ap = [p for p in agent.T.R if context_holds(agent, p.context)]
     if agent.T.epsilon is None:
-        return _entry(agent, env, "ApplPl", "idle")
-    return _entry(agent, env, "ApplPl", f"{len(agent.T.Ap)} applicable")
+        return "idle", None
+    return f"{len(agent.T.Ap)} applicable", None
 
 
-def _step_selappl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_selappl(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     agent.s = StepLabel.AddIM
     if not agent.T.Ap:
-        return _entry(agent, env, "SelAppl", "idle")
+        return "idle", None
 
     decisions: dict[str, dict] = {}
 
@@ -421,31 +408,31 @@ def _step_selappl(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         decisions[nb.id] = {"comply": follow, "break": breach, "chosen": variant}
         return variant
 
-    agent.T.Ap = order_applicable_plans(agent.T.Ap, agent.NB, agent.cycle, env.relevance_threshold, choose)
+    agent.T.Ap = order_applicable_plans(agent.T.Ap, agent.NB, env.tick, env.relevance_threshold, choose)
     agent.T.rho = agent.T.Ap[0]
     rho = agent.T.rho
     summary = render_trigger(rho.trigger)
     if rho.norm_id and rho.norm_id in decisions:
         summary += f" [{decisions[rho.norm_id]['chosen']}]"
-    return _entry(agent, env, "SelAppl", summary, {"decisions": decisions})
+    return summary, {"decisions": decisions}
 
 
-def _step_addim(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_addim(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     agent.s = StepLabel.SelInt
     rho, ev = agent.T.rho, agent.T.epsilon
     if rho is None or ev is None:
-        return _entry(agent, env, "AddIM", "idle")
+        return "idle", None
     intent = agent.new_intention(rho)
     agent.C.I.append(intent)
-    return _entry(agent, env, "AddIM", f"new intention {intent.iid}")
+    return f"new intention {intent.iid}", None
 
 
-def _step_selint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_selint(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     agent.s = StepLabel.ExecInt
-    agent.T.iota = select_intention(agent.C.I, agent.NB, agent.cycle, env.relevance_threshold)
+    agent.T.iota = select_intention(agent.C.I, agent.NB, env.tick, env.relevance_threshold)
     if agent.T.iota is None:
-        return _entry(agent, env, "SelInt", "idle")
-    return _entry(agent, env, "SelInt", f"intention {agent.T.iota.iid}")
+        return "idle", None
+    return f"intention {agent.T.iota.iid}", None
 
 
 def _finish_means(agent: AgentConfig, intent: Intention) -> None:
@@ -480,17 +467,17 @@ def _appraise(agent: AgentConfig, pair: AffectPair, nid: str | None, variant: st
     payload["variant"] = variant
 
 
-def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_execint(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     intent = agent.T.iota
     if intent is None:
         agent.s = StepLabel.ClrInt
-        return _entry(agent, env, "ExecInt", "idle")
+        return "idle", None
 
     plan = intent.plan
     if not intent.remaining:
         _finish_means(agent, intent)
         agent.s = StepLabel.ClrInt
-        return _entry(agent, env, "ExecInt", f"intention {intent.iid}: plan finished")
+        return f"intention {intent.iid}: plan finished", None
 
     step_ = intent.remaining.pop(0)
     appraised = False
@@ -521,7 +508,7 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
         # the one that generated the executing plan (that norm's own variant
         # already carries its appraisal in the trailing affect step).
         others = [nb for nb in agent.NB if nb.id != plan.norm_id]
-        hit = comply_to_norm(step_.literal, others, agent.cycle)
+        hit = comply_to_norm(step_.literal, others, env.tick)
         if hit is not None:
             variant, pair, nb = hit
             _appraise(agent, pair, nb.id, variant, payload)
@@ -533,71 +520,71 @@ def _step_execint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
     _rotate(agent, intent)
 
     agent.s = StepLabel.AffModB if appraised else StepLabel.ClrInt
-    return _entry(agent, env, "ExecInt", summary, payload)
+    return summary, payload
 
 
-def _step_clrint(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_clrint(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     agent.s = StepLabel.AffModB
     stale = [i for i in agent.C.I if not i.remaining]
     for intent in stale:
         _finish_means(agent, intent)
     if not stale:
-        return _entry(agent, env, "ClrInt", "idle")
-    return _entry(agent, env, "ClrInt", f"cleared {len(stale)}")
+        return "idle", None
+    return f"cleared {len(stale)}", None
 
 
-def _step_affmodb(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
+def _step_affmodb(agent: AgentConfig, env: EnvironmentView) -> tuple[str, dict | None]:
     changes = sync_beliefs(agent, env.tick)
     agent.s = StepLabel.Perceive
     summary = f"+{len(changes['added'])}/-{len(changes['removed'])} beliefs"
     if changes["appraised"]:
         summary += f", {len(changes['appraised'])} appraisals"
-    return _entry(agent, env, "AffModB", summary, changes)
+    return summary, changes
 
 
-#: label -> (step function, allowed successors), one lookup per step.  The
-#: successors are a tuple: membership tests compare enum members by
-#: identity instead of hashing them.
+#: The normative step machine: label -> (step function, allowed
+#: successors).  The successors are a tuple: membership tests compare enum
+#: members by identity instead of hashing them.
 _STEPS = {
-    label: (func, tuple(EDGES[label]))
-    for label, func in (
-        (StepLabel.Perceive, _step_perceive),
-        (StepLabel.ProcMsg, _step_procmsg),
-        (StepLabel.SelEv, _step_selev),
-        (StepLabel.RelPl, _step_relpl),
-        (StepLabel.ApplPl, _step_applpl),
-        (StepLabel.SelAppl, _step_selappl),
-        (StepLabel.AddIM, _step_addim),
-        (StepLabel.SelInt, _step_selint),
-        (StepLabel.ExecInt, _step_execint),
-        (StepLabel.ClrInt, _step_clrint),
-        (StepLabel.AffModB, _step_affmodb),
-    )
+    StepLabel.Perceive: (_step_perceive, (StepLabel.ProcMsg,)),
+    StepLabel.ProcMsg: (_step_procmsg, (StepLabel.SelEv, StepLabel.AffModB)),
+    StepLabel.SelEv: (_step_selev, (StepLabel.RelPl,)),
+    StepLabel.RelPl: (_step_relpl, (StepLabel.ApplPl,)),
+    StepLabel.ApplPl: (_step_applpl, (StepLabel.SelAppl,)),
+    StepLabel.SelAppl: (_step_selappl, (StepLabel.AddIM,)),
+    StepLabel.AddIM: (_step_addim, (StepLabel.SelInt,)),
+    StepLabel.SelInt: (_step_selint, (StepLabel.ExecInt,)),
+    StepLabel.ExecInt: (_step_execint, (StepLabel.ClrInt, StepLabel.AffModB)),
+    StepLabel.ClrInt: (_step_clrint, (StepLabel.AffModB,)),
+    StepLabel.AffModB: (_step_affmodb, (StepLabel.Perceive,)),
 }
+
+#: Allowed successor labels of the normative step machine.
+EDGES: dict[StepLabel, frozenset[StepLabel]] = {label: frozenset(nxt) for label, (_, nxt) in _STEPS.items()}
 
 
 def step(agent: AgentConfig, env: EnvironmentView) -> TraceEntry:
-    """Execute the label the agent is at; advance to an allowed successor."""
+    """Execute the label the agent is at; advance to an allowed successor.
+    The entry is named by the label, and keeps the step's payload only
+    while ``env.payloads`` is on."""
     label = agent.s
     func, successors = _STEPS[label]
-    entry = func(agent, env)
+    summary, payload = func(agent, env)
     if agent.s not in successors:
         raise InterpreterFault(agent.id, label.value, f"illegal transition to {agent.s.value}")
     check_invariants(agent, label)
-    return entry
+    return TraceEntry(env.tick, agent.id, label.value, summary, payload if env.payloads else None)
 
 
 def _walk(agent: AgentConfig, env: EnvironmentView) -> list[TraceEntry]:
     """The normative pass through the step machine, Perceive to AffModB."""
     entries: list[TraceEntry] = []
-    for guard in itertools.count():
-        if guard > len(EDGES):
-            raise InterpreterFault(agent.id, agent.s.value, "normative pass did not terminate")
+    for _ in range(len(_STEPS) + 1):
         label = agent.s
         entries.append(step(agent, env))
         if label is StepLabel.AffModB:
-            break
-    return entries
+            return entries
+    raise InterpreterFault(agent.id, agent.s.value, "normative pass did not terminate")
 
 
 #: The fifteen entries a quiet agent-tick emits before its decay entry, as
@@ -789,7 +776,6 @@ def tick(agent: AgentConfig, env: EnvironmentView) -> tuple[list[TraceEntry | Qu
         items = _walk(agent, env)
         items.extend(run_affective_cycle(agent, env))
         items.append(run_decay(agent, env))
-    agent.cycle += 1
     outbound = agent.M.Out
     agent.M.Out = []
     return items, outbound

@@ -747,6 +747,13 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip().startswith("nea ")
 
 
+def test_package_entry_point_runs():
+    """``python -m nea`` is the ``nea`` command."""
+    proc = subprocess.run([sys.executable, "-m", "nea", "--version"], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.strip().startswith("nea ")
+
+
 @pytest.mark.parametrize(
     "command", [["sweep"], ["check", str(CORPUS_DIR / "professor_conformist.nea")]], ids=["sweep", "check"]
 )

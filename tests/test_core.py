@@ -32,7 +32,7 @@ def test_initial_configuration():
     agent = build_agent(PATROL_SOURCE)
     assert agent.s is StepLabel.Perceive
     assert agent.Ta.sigma == (0.0, 0.0)
-    assert agent.cycle == 0
+    assert not hasattr(agent, "cycle"), "the run tick is the agent's only clock"
     assert agent.Mem == [] and agent.NB == []
     assert agent.roles == ("professor",)
     assert agent.P.rebelliousness == 0.3
@@ -165,7 +165,7 @@ def test_snapshot_covers_configuration_tuple():
     agent.NB.append(NormativeBelief.from_decl(decl, norm_id(decl)))
     snap = snapshot(agent)
     assert snap["id"] == "a1"
-    assert set(snap) == {"id", "ag", "C", "M", "T", "Mem", "Ta", "s", "cycle"}
+    assert set(snap) == {"id", "ag", "C", "M", "T", "Mem", "Ta", "s"}
     assert set(snap["ag"]) == {"bs", "ps", "P", "NB"}
     assert set(snap["Ta"]) == {"Ub", "σ"}
     assert snap["ag"]["P"]["reb"] == 0.3

@@ -910,7 +910,7 @@ def test_fully_quiet_tick_is_one_record(monkeypatch):
     assert record.decay.step == "AsNrDecay" and record.decay.payload["sigma"] == list(agent.Ta.sigma)
     assert [e.step for e in record.entries()] == TICK_STEPS
     assert record.entries()[-1] is record.decay
-    assert outbound == [] and agent.cycle == 1 and agent.s is StepLabel.Perceive
+    assert outbound == [] and agent.s is StepLabel.Perceive
 
 
 def test_half_quiet_tick_emits_sixteen_entries(monkeypatch):

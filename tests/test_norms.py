@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nea.core import AgentConfig, MemKind, Message, MemoryEvent, NormativeBelief, norm_id
-from nea.cycle import EnvironmentView, _adopt_norm, step
+from nea.core import DECAY_STEP, AgentConfig, MemKind, Message, MemoryEvent, NormativeBelief, norm_id
+from nea.cycle import EnvironmentView, _adopt_norm, expand, step
 from nea.lang import AFFECT_FUNCTOR, Literal, StepKind, parse_literal_text
 from nea.norms import (
     BREAK,
@@ -31,6 +31,7 @@ from nea.norms import (
     relevance_decay,
     select_intention,
 )
+from nea.society import ScenarioConfig, Society
 
 from conftest import MASK_NORM_TEXT, PATROL_SOURCE, build_agent, parse_norm
 
@@ -94,6 +95,32 @@ def test_active_checks_limit_and_relevance():
     weak = make_norm(limit=0, relevance=10.0)
     assert not active(weak, cycle=0, threshold=25.0)
     assert active(weak, cycle=0, threshold=10.0), "threshold is inclusive"
+
+
+@pytest.mark.parametrize("limit", [2, 3])
+def test_norm_expires_at_the_run_tick(limit):
+    """Through a run, an obligation with limit L steers SelAppl (the chosen
+    variant's ``[comply]``/``[break]`` suffix) on ticks below L only.  Its
+    trigger ``+bell`` is selected on every odd tick, and its relevance
+    stays above the threshold, so only expiry turns it off.  Limits 2 and 3
+    pin both sides of the boundary: tick L-1 and tick L."""
+    program = f'norms__: {{ norm("obligation", "np__bell <- ring.", {limit}, 50.0, "ALL", [0.5,0.5]) }}.'
+    threshold = 25.0
+    config = ScenarioConfig.from_dict(
+        {
+            "ticks": 8,
+            "agents": [{"id": "a", "program": program}],
+            "percepts": [{"agents": ["a"], "literal": "bell", "from": 0, "period": 2}],
+            "params": {"relevance_threshold": threshold},
+        }
+    )
+    entries = expand(Society(config, seed=1).run().trace)
+    selected = {e.tick: e.summary for e in entries if e.step == "SelAppl" and e.summary != "idle"}
+    assert sorted(selected) == [1, 3, 5, 7]
+    for t, summary in selected.items():
+        assert summary == ("+bell [comply]" if t < limit else "+bell"), t
+    relevance = [r for e in entries if e.step == DECAY_STEP for r in e.payload["relevance"].values()]
+    assert len(relevance) == 8 and min(relevance) >= threshold
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,6 @@ def test_equality_ignores_the_bookkeeping_fields():
     second.mem_cursor, second.plan_version = 4, 2
     first.belief_texts()
     assert first == second
-    second.cycle = 1
+    second.roles = ("student",)
     assert first != second
     assert "mem_cursor" not in repr(first) and "_texts" not in repr(first)
